@@ -5,17 +5,18 @@
 #include "graph/graph.h"
 #include "util/status.h"
 
-// Seam between the access layer and an asynchronous fetch client.
+// Seam between the access layer and the client that resolves cache misses.
 //
-// By default SharedAccess resolves a cache miss synchronously: the missing
-// walker's own thread charges the group budget and calls the backend. An
-// AsyncFetcher attached to the group replaces that miss path with a client
-// that may batch, pipeline, and deduplicate fetches across walkers
-// (net::RequestPipeline). The call still blocks from the walker's point of
-// view — a walker cannot take its next step without the neighbor list —
-// but while one walker waits, the fetcher overlaps the other walkers'
-// outstanding requests on the wire instead of letting each one pay a full
-// round trip alone.
+// Every SharedAccess view resolves its misses through one AsyncFetcher,
+// handed to it at SharedAccessGroup::MakeView. The implementation is
+// net::RequestPipeline, in every execution mode: at depth 0 the caller
+// that creates a fetch runs it on its own thread, at depth D worker
+// threads batch and pipeline the fetches. Either way, concurrent misses on
+// one node share a single fetch (singleflight) and a single charge. The
+// call blocks from the walker's point of view — a walker cannot take its
+// next step without the neighbor list — but while one walker waits, the
+// other walkers' outstanding requests keep moving instead of each one
+// paying a full round trip alone.
 
 namespace histwalk::access {
 

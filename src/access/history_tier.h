@@ -9,7 +9,7 @@
 // Warm start (store::HistoryStore::LoadInto) front-loads the ENTIRE
 // durable history into the bounded memory cache; with a history larger
 // than the cache that both thrashes the cache and forgets the overflow.
-// Attaching the store's contents as a TIER instead keeps the bounded
+// Serving the store's contents as a TIER instead keeps the bounded
 // cache demand-filled: a miss probes the tier before touching the wire,
 // and a tier hit is promoted into the memory cache WITHOUT journaling
 // (the record is already durable) and without charging the fetch budget —
@@ -31,8 +31,8 @@ class HistoryTier {
 };
 
 // An unbounded in-memory tier backed by its own HistoryCache — load a
-// snapshot into cache() (store::HistoryStore::LoadInto) and attach via
-// SharedAccessGroup::set_history_tier. SamplerBuilder::WithStoreReadTier
+// snapshot into cache() (store::HistoryStore::LoadInto) and build the group
+// with it (SharedAccessOptions::tier). SamplerBuilder::WithStoreReadTier
 // wires exactly this.
 class CacheTier final : public HistoryTier {
  public:

@@ -57,8 +57,9 @@ SharedAccessGroup::SharedAccessGroup(const AccessBackend* backend,
   HW_CHECK(backend_ != nullptr);
 }
 
-std::unique_ptr<SharedAccess> SharedAccessGroup::MakeView() {
-  return std::make_unique<SharedAccess>(this);
+std::unique_ptr<SharedAccess> SharedAccessGroup::MakeView(
+    AsyncFetcher& resolver) {
+  return std::make_unique<SharedAccess>(this, &resolver);
 }
 
 uint64_t SharedAccessGroup::remaining_budget() const {
@@ -73,32 +74,19 @@ void SharedAccessGroup::ResetAll() {
   charged_.store(0, std::memory_order_relaxed);
 }
 
-HistoryCache::Entry SharedAccessGroup::StoreFetched(
-    graph::NodeId v, std::span<const graph::NodeId> neighbors) {
-  bool inserted = false;
-  HistoryCache::Entry entry = cache_->Put(v, neighbors, &inserted);
-  // Journal only genuinely new entries: a Put that lost a concurrent
-  // double-fetch race was already logged by the winner.
-  if (inserted && journal_ != nullptr) {
-    journal_->OnCacheInsert(v, std::span<const graph::NodeId>(*entry),
-                            *cache_);
-  }
-  return entry;
-}
-
 std::vector<HistoryCache::Entry> SharedAccessGroup::StoreFetchedBatch(
     std::span<const HistoryCache::ImportEntry> entries) {
   std::vector<HistoryCache::Entry> stored(entries.size());
   std::unique_ptr<bool[]> inserted(new bool[entries.size()]{});
   cache_->PutBatch(entries, stored.data(), inserted.get());
-  if (journal_ != nullptr) {
+  if (HistoryJournal* journal = options_.journal) {
     // Journal only genuinely new entries, after the batch landed (the
     // cache is authoritative, the journal trails it).
     for (size_t i = 0; i < entries.size(); ++i) {
       if (inserted[i]) {
-        journal_->OnCacheInsert(entries[i].node,
-                                std::span<const graph::NodeId>(*stored[i]),
-                                *cache_);
+        journal->OnCacheInsert(entries[i].node,
+                               std::span<const graph::NodeId>(*stored[i]),
+                               *cache_);
       }
     }
   }
@@ -127,17 +115,22 @@ bool SharedAccessGroup::TryCharge() {
   return false;
 }
 
-SharedAccess::SharedAccess(SharedAccessGroup* group)
+SharedAccess::SharedAccess(SharedAccessGroup* group, AsyncFetcher* resolver)
     : group_(group),
+      resolver_(resolver),
       view_id_(group->next_view_id_.fetch_add(1, std::memory_order_relaxed)),
       queried_(group->backend()->num_nodes(), false) {
   HW_CHECK(group_ != nullptr);
+  HW_CHECK(resolver_ != nullptr);
 }
 
-void SharedAccess::RecordMissOutcome(graph::NodeId v,
-                                     obs::FlightEventKind kind,
-                                     uint64_t start_us) {
-  obs::FlightRecorder* flight = group_->flight_;
+void SharedAccess::RecordMiss(graph::NodeId v, obs::Counter* counter,
+                              const char* result, obs::FlightEventKind kind,
+                              uint64_t start_us) {
+  counter->Inc();
+  HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
+                        ProbeArgs(*group_->cache_, v, result));
+  obs::FlightRecorder* flight = group_->options_.flight_recorder;
   if (flight == nullptr) return;
   obs::FlightEvent event;
   event.node = v;
@@ -170,82 +163,44 @@ util::Result<std::span<const graph::NodeId>> SharedAccess::Neighbors(
     HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
                           ProbeArgs(*group_->cache_, v, "hit"));
   } else {
-    // Every branch below attributes this miss to exactly one outcome
-    // counter/flight kind — the invariant obs_identity_test pins.
+    // The one miss chain: tier -> resolver. Every outcome below attributes
+    // this miss to exactly one counter/flight kind — the invariant
+    // obs_identity_test pins.
     obs.cache_misses->Inc();
-    const uint64_t miss_start_us =
-        group_->flight_ != nullptr ? group_->flight_->NowUs() : 0;
-    if (group_->tier_ != nullptr) {
-      // Second-tier probe: durable history answers the miss without wire,
-      // budget or journal traffic.
-      if (HistoryCache::Entry warm = group_->tier_->Lookup(v)) {
-        entry = group_->StoreWarm(v, std::span<const graph::NodeId>(*warm));
-        obs.store_hits->Inc();
-        HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                              ProbeArgs(*group_->cache_, v, "store"));
-        RecordMissOutcome(v, obs::FlightEventKind::kStoreHit, miss_start_us);
-      }
-    }
-    if (entry == nullptr && group_->fetcher_ != nullptr) {
-      // Async miss path: the attached fetcher batches / deduplicates this
-      // fetch with the other walkers' outstanding misses; budget charging
-      // happens inside the fetcher, once per wire fetch.
-      auto fetched = group_->fetcher_->FetchShared(v);
+    obs::FlightRecorder* flight = group_->options_.flight_recorder;
+    const uint64_t miss_start_us = flight != nullptr ? flight->NowUs() : 0;
+    HistoryTier* tier = group_->options_.tier;
+    HistoryCache::Entry warm = tier != nullptr ? tier->Lookup(v) : nullptr;
+    if (warm != nullptr) {
+      // Durable history answers the miss without wire, budget or journal
+      // traffic.
+      entry = group_->StoreWarm(v, std::span<const graph::NodeId>(*warm));
+      RecordMiss(v, obs.store_hits, "store", obs::FlightEventKind::kStoreHit,
+                 miss_start_us);
+    } else {
+      // The resolver deduplicates this fetch with the other walkers'
+      // outstanding misses (singleflight) and charges the budget once per
+      // wire fetch.
+      auto fetched = resolver_->FetchShared(v);
       if (!fetched.ok()) {
-        const bool refused =
-            fetched.status().code() == util::StatusCode::kBudgetExhausted;
-        (refused ? obs.budget_refusals : obs.fetch_errors)->Inc();
-        HW_TRACE_INSTANT_ARGS(
-            tracer_, trace_track_, "cache_probe",
-            ProbeArgs(*group_->cache_, v, refused ? "refused" : "error"));
-        RecordMissOutcome(v,
-                          refused ? obs::FlightEventKind::kBudgetRefusal
-                                  : obs::FlightEventKind::kError,
-                          miss_start_us);
+        if (fetched.status().code() == util::StatusCode::kBudgetExhausted) {
+          RecordMiss(v, obs.budget_refusals, "refused",
+                     obs::FlightEventKind::kBudgetRefusal, miss_start_us);
+        } else {
+          RecordMiss(v, obs.fetch_errors, "error",
+                     obs::FlightEventKind::kError, miss_start_us);
+        }
         return fetched.status();
       }
       entry = std::move(fetched->entry);
       if (fetched->charged_this_call) {
         ++charged_fetches_;
-        obs.wire_fetches->Inc();
-        HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                              ProbeArgs(*group_->cache_, v, "wire"));
-        RecordMissOutcome(v, obs::FlightEventKind::kWireFetch,
-                          miss_start_us);
+        RecordMiss(v, obs.wire_fetches, "wire",
+                   obs::FlightEventKind::kWireFetch, miss_start_us);
       } else {
-        obs.singleflight_joins->Inc();
-        HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                              ProbeArgs(*group_->cache_, v, "join"));
-        RecordMissOutcome(v, obs::FlightEventKind::kSingleflightJoin,
-                          miss_start_us);
+        RecordMiss(v, obs.singleflight_joins, "join",
+                   obs::FlightEventKind::kSingleflightJoin, miss_start_us);
       }
-    } else if (entry == nullptr) {
-      // Synchronous miss path: this view pays for a real fetch. A refused
-      // call is not issued at all, so it leaves the charge accounting
-      // untouched (same semantics as GraphAccess).
-      if (!group_->TryCharge()) {
-        obs.budget_refusals->Inc();
-        HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                              ProbeArgs(*group_->cache_, v, "refused"));
-        RecordMissOutcome(v, obs::FlightEventKind::kBudgetRefusal,
-                          miss_start_us);
-        return util::Status::BudgetExhausted("group query budget exhausted");
-      }
-      auto fetched = group_->backend_->FetchNeighbors(v);
-      if (!fetched.ok()) {
-        group_->RefundCharge();
-        obs.fetch_errors->Inc();
-        HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                              ProbeArgs(*group_->cache_, v, "error"));
-        RecordMissOutcome(v, obs::FlightEventKind::kError, miss_start_us);
-        return fetched.status();
-      }
-      entry = group_->StoreFetched(v, *fetched);
-      ++charged_fetches_;
-      obs.wire_fetches->Inc();
-      HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                            ProbeArgs(*group_->cache_, v, "wire"));
-      RecordMissOutcome(v, obs::FlightEventKind::kWireFetch, miss_start_us);
     }
   }
   AccountServed(v);

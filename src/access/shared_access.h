@@ -47,12 +47,12 @@
 // estimate/ensemble_runner.h for the deterministic per-walker alternative).
 //
 // Concurrency notes: views are NOT thread-safe individually (one view per
-// walker per thread); the group and cache are. Two walkers missing on the
-// same node at the same instant may both fetch it — the cache keeps one
-// copy, the duplicate charge is the usual cost of not holding a lock across
-// the backend call. Attaching an AsyncFetcher (net::RequestPipeline)
-// removes even that: concurrent misses on one node collapse into a single
-// deduplicated wire request (singleflight).
+// walker per thread); the group and cache are. Every view resolves its
+// cache misses through one resolver (an AsyncFetcher, in practice a
+// net::RequestPipeline at depth 0 or D), which deduplicates concurrent
+// misses on one node into a single fetch (singleflight): N walkers missing
+// the same node at the same instant pay one charge, so with a cache that
+// never evicts the group's bill is a function of the walks alone.
 
 namespace histwalk::access {
 
@@ -68,6 +68,18 @@ struct SharedAccessOptions {
   // Metrics registry the group's counters land in; null = the process
   // Global() registry. Must outlive the group.
   obs::Registry* registry = nullptr;
+  // Durable-history journal (store::HistoryStore): every backend response
+  // newly inserted into the cache is announced to it exactly once, from
+  // whichever thread fetched it. Null = none; must outlive the group.
+  HistoryJournal* journal = nullptr;
+  // Second history tier probed on the miss path BEFORE the resolver:
+  // memory cache -> tier -> resolver. A tier hit is promoted into the
+  // cache journal-free and budget-free (see access/history_tier.h). Null =
+  // none; must outlive the group.
+  HistoryTier* tier = nullptr;
+  // Captures every miss-path resolution (obs/flight_recorder.h). Null =
+  // none; must outlive the group.
+  obs::FlightRecorder* flight_recorder = nullptr;
 };
 
 // Cached instrument pointers for the group's miss-path accounting —
@@ -111,9 +123,10 @@ class SharedAccessGroup {
   SharedAccessGroup(const SharedAccessGroup&) = delete;
   SharedAccessGroup& operator=(const SharedAccessGroup&) = delete;
 
-  // Mints a per-walker view. Thread-safe, though views are typically
-  // created up front and handed one per worker thread.
-  std::unique_ptr<SharedAccess> MakeView();
+  // Mints a per-walker view whose cache misses resolve through `resolver`
+  // (which must outlive the view). Thread-safe, though views are
+  // typically created up front and handed one per worker thread.
+  std::unique_ptr<SharedAccess> MakeView(AsyncFetcher& resolver);
 
   const AccessBackend* backend() const { return backend_; }
   HistoryCache& cache() { return *cache_; }
@@ -132,65 +145,23 @@ class SharedAccessGroup {
   // accounting; reset each view separately via ResetAccounting().
   void ResetAll();
 
-  // Attaches (or detaches, with nullptr) the async miss-resolution client:
-  // while set, views route cache misses through fetcher->FetchShared()
-  // instead of fetching on their own thread. The fetcher must outlive the
-  // attachment. Not synchronized against in-flight Neighbors() calls —
-  // attach/detach only while no walker is running.
-  void set_async_fetcher(AsyncFetcher* fetcher) { fetcher_ = fetcher; }
-  AsyncFetcher* async_fetcher() const { return fetcher_; }
-
-  // Attaches (or detaches, with nullptr) a durable-history journal
-  // (store::HistoryStore): every backend response newly inserted into the
-  // shared cache is announced to it, from whichever thread fetched it.
-  // The journal must outlive the attachment. Like set_async_fetcher, not
-  // synchronized against in-flight Neighbors() calls — attach/detach only
-  // while no walker is running.
-  void set_history_journal(HistoryJournal* journal) { journal_ = journal; }
-  HistoryJournal* history_journal() const { return journal_; }
-
-  // Attaches (or detaches, with nullptr) a second history tier probed on
-  // the miss path BEFORE the wire: memory cache -> tier -> backend. A tier
-  // hit is promoted into the cache journal-free and budget-free (see
-  // access/history_tier.h). Same lifetime/synchronization caveats as
-  // set_async_fetcher.
-  void set_history_tier(HistoryTier* tier) { tier_ = tier; }
-  HistoryTier* history_tier() const { return tier_; }
-
-  // Attaches (or detaches, with nullptr) a flight recorder that captures
-  // every miss-path resolution (obs/flight_recorder.h). Same caveats as
-  // set_async_fetcher.
-  void set_flight_recorder(obs::FlightRecorder* recorder) {
-    flight_ = recorder;
-  }
-  obs::FlightRecorder* flight_recorder() const { return flight_; }
-
   // The group's cached metrics instruments (see GroupObsCounters); always
   // non-null pointers once constructed. net::RequestPipeline pushes the
   // singleflight/wait instruments through this.
   const GroupObsCounters& obs() const { return obs_; }
 
-  // Budget hooks for fetch-executing clients (views' synchronous miss path
-  // and net::RequestPipeline): claim one unit of fetch budget before a
-  // backend fetch — false means the group quota refused it — and refund it
-  // if the fetch itself fails.
+  // Budget hooks for the fetch-executing resolver (net::RequestPipeline):
+  // claim one unit of fetch budget before a backend fetch — false means
+  // the group quota refused it — and refund it if the fetch itself fails.
   bool TryCharge();
   void RefundCharge() { charged_.fetch_sub(1, std::memory_order_relaxed); }
 
-  // The single insert funnel for fetched responses: stores `neighbors`
-  // under `v` in the shared cache and, when this call created a new entry,
-  // notifies the attached journal. Both miss paths (the views' synchronous
-  // fetch and the request pipeline's batch completion) go through here so
-  // an attached store sees every response exactly once. Thread-safe.
-  HistoryCache::Entry StoreFetched(graph::NodeId v,
-                                   std::span<const graph::NodeId> neighbors);
-
-  // Batch analogue of StoreFetched: the whole batch lands through one
-  // HistoryCache::PutBatch — a single exclusive-lock acquisition per
-  // touched shard, and exactly one for the pipeline's per-shard batches —
-  // instead of one Put per response, and the attached journal still sees
-  // each genuinely new insertion exactly once, in batch order. Returns the
-  // pinned handles aligned with `entries`. Thread-safe.
+  // The single insert funnel for fetched responses: the whole batch lands
+  // through one HistoryCache::PutBatch — a single exclusive-lock
+  // acquisition per touched shard, and exactly one for the pipeline's
+  // per-shard batches — and the journal sees each genuinely new insertion
+  // exactly once, in batch order. Returns the pinned handles aligned with
+  // `entries`. Thread-safe.
   std::vector<HistoryCache::Entry> StoreFetchedBatch(
       std::span<const HistoryCache::ImportEntry> entries);
 
@@ -209,17 +180,14 @@ class SharedAccessGroup {
   HistoryCache* cache_;  // owned_cache_.get() or the external shared cache
   std::atomic<uint64_t> charged_{0};
   std::atomic<uint32_t> next_view_id_{0};
-  AsyncFetcher* fetcher_ = nullptr;
-  HistoryJournal* journal_ = nullptr;
-  HistoryTier* tier_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
   GroupObsCounters obs_;
 };
 
 class SharedAccess final : public NodeAccess {
  public:
-  // Prefer SharedAccessGroup::MakeView(). `group` must outlive this view.
-  explicit SharedAccess(SharedAccessGroup* group);
+  // Prefer SharedAccessGroup::MakeView(). `group` and `resolver` must
+  // outlive this view.
+  SharedAccess(SharedAccessGroup* group, AsyncFetcher* resolver);
 
   util::Result<std::span<const graph::NodeId>> Neighbors(
       graph::NodeId v) override;
@@ -266,10 +234,13 @@ class SharedAccess final : public NodeAccess {
 
  private:
   void AccountServed(graph::NodeId v);
-  void RecordMissOutcome(graph::NodeId v, obs::FlightEventKind kind,
-                         uint64_t start_us);
+  // Attributes one cache miss to its outcome: bumps `counter`, emits the
+  // `result` probe instant and records a `kind` flight event.
+  void RecordMiss(graph::NodeId v, obs::Counter* counter, const char* result,
+                  obs::FlightEventKind kind, uint64_t start_us);
 
   SharedAccessGroup* group_;
+  AsyncFetcher* resolver_;
   obs::Tracer* tracer_ = nullptr;
   uint32_t trace_track_ = 0;
   uint32_t view_id_ = 0;

@@ -1,5 +1,6 @@
 #include "api/sampler.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -385,7 +386,9 @@ SamplerBuilder& SamplerBuilder::WithTelemetryServer(uint16_t port) {
 
 SamplerBuilder& SamplerBuilder::RunInline(unsigned num_threads) {
   mode_ = ExecutionMode::kInline;
-  inline_threads_ = num_threads;
+  pipeline_ = {.depth = 0};
+  run_threads_ =
+      num_threads != 0 ? num_threads : std::thread::hardware_concurrency();
   return *this;
 }
 
@@ -393,6 +396,7 @@ SamplerBuilder& SamplerBuilder::RunPipelined(
     net::RequestPipelineOptions pipeline) {
   mode_ = ExecutionMode::kPipelined;
   pipeline_ = pipeline;
+  run_threads_ = 0;  // one per walker
   return *this;
 }
 
@@ -548,7 +552,7 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
 
   std::unique_ptr<Sampler> sampler(new Sampler());
   sampler->mode_ = mode_;
-  sampler->inline_threads_ = inline_threads_;
+  sampler->run_threads_ = run_threads_;
   sampler->pipeline_ = pipeline_;
   sampler->defaults_ = defaults_;
   sampler->estimand_ = estimand_;
@@ -564,11 +568,9 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
   }
   if (has_wire_) {
     net::LatencyModelOptions latency = latency_;
-    const uint32_t depth = mode_ == ExecutionMode::kPipelined
-                               ? pipeline_.depth
-                           : mode_ == ExecutionMode::kService
-                               ? service_.pipeline.depth
-                               : 1;
+    const uint32_t depth = std::max(
+        1u, mode_ == ExecutionMode::kService ? service_.pipeline.depth
+                                             : pipeline_.depth);
     // The wire should carry what the pipeline keeps in flight.
     if (latency.max_in_flight < depth) latency.max_in_flight = depth;
     sampler->remote_ = std::make_unique<net::RemoteBackend>(inner, latency);
@@ -636,32 +638,17 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
         sampler->backend_, std::move(options));
     sampler->warm_start_status_ = sampler->service_->warm_start_status();
   } else {
-    sampler->group_ = std::make_unique<access::SharedAccessGroup>(
-        sampler->backend_, access::SharedAccessOptions{
-                               .query_budget = group_query_budget_,
-                               .cache = cache_,
-                               .registry = obs_.registry});
-    if (sampler->store_ != nullptr) {
-      if (warm_start_) {
-        // Like the service: a broken history file falls back to a cold (or
-        // partially restored) cache, recorded rather than fatal — recovery
-        // policy stays the caller's call via warm_start_status().
-        sampler->warm_start_status_ =
-            sampler->store_->LoadInto(sampler->group_->cache());
-      }
-      sampler->group_->set_history_journal(sampler->store_);
-      if (store_read_tier_) {
-        // The durable history as a second READ tier: misses probe it
-        // before the wire, and hits promote demand-driven instead of the
-        // all-at-once warm start (access/history_tier.h).
-        sampler->store_tier_ = std::make_unique<access::CacheTier>();
-        util::Status tier_load =
-            sampler->store_->LoadInto(sampler->store_tier_->cache());
-        if (!tier_load.ok() && sampler->warm_start_status_.ok()) {
-          sampler->warm_start_status_ = tier_load;
-        }
-        sampler->group_->set_history_tier(sampler->store_tier_.get());
-      }
+    access::SharedAccessOptions group_options{
+        .query_budget = group_query_budget_,
+        .cache = cache_,
+        .registry = obs_.registry,
+        .journal = sampler->store_};
+    if (store_read_tier_) {
+      // The durable history as a second READ tier: misses probe it before
+      // the wire, and hits promote demand-driven instead of the all-at-once
+      // warm start (access/history_tier.h).
+      sampler->store_tier_ = std::make_unique<access::CacheTier>();
+      group_options.tier = sampler->store_tier_.get();
     }
     if (flight_capacity > 0) {
       std::function<uint64_t()> clock;
@@ -672,7 +659,23 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
       }
       sampler->flight_ = std::make_unique<obs::FlightRecorder>(
           flight_capacity, std::move(clock));
-      sampler->group_->set_flight_recorder(sampler->flight_.get());
+      group_options.flight_recorder = sampler->flight_.get();
+    }
+    sampler->group_ = std::make_unique<access::SharedAccessGroup>(
+        sampler->backend_, group_options);
+    if (sampler->store_ != nullptr && warm_start_) {
+      // Like the service: a broken history file falls back to a cold (or
+      // partially restored) cache, recorded rather than fatal — recovery
+      // policy stays the caller's call via warm_start_status().
+      sampler->warm_start_status_ =
+          sampler->store_->LoadInto(sampler->group_->cache());
+    }
+    if (sampler->store_tier_ != nullptr) {
+      util::Status tier_load =
+          sampler->store_->LoadInto(sampler->store_tier_->cache());
+      if (!tier_load.ok() && sampler->warm_start_status_.ok()) {
+        sampler->warm_start_status_ = tier_load;
+      }
     }
   }
 
@@ -721,8 +724,6 @@ Sampler::~Sampler() {
   // Unregister the scrape collectors before the layers they read go away
   // (a concurrent Scrape() must never observe a half-destroyed sampler).
   collectors_.clear();
-  // Detach the journal before the store (possibly owned) is destroyed.
-  if (group_ != nullptr) group_->set_history_journal(nullptr);
   // service_ (if any) joins its sessions in its own destructor, which runs
   // before the store/remote/backend members it fetches through.
 }
@@ -790,13 +791,15 @@ util::Result<RunHandle> Sampler::RunThreaded(const RunOptions& options) {
                                        .seed = options.seed,
                                        .max_steps = options.max_steps,
                                        .query_budget = options.query_budget,
-                                       .num_threads = inline_threads_,
+                                       .num_threads = run_threads_,
                                        .tracer = obs_.tracer,
                                        .progress = shared->progress.get()};
-    auto run = mode_ == ExecutionMode::kInline
-                   ? estimate::RunEnsemble(*group_, options.walker, ensemble)
-                   : estimate::RunEnsembleAsync(*group_, options.walker,
-                                                ensemble, pipeline_);
+    // The run's miss resolver: at depth 0 (inline) each fetch runs on the
+    // missing walker's thread, at depth D (pipelined) on D workers.
+    net::RequestPipeline pipeline(group_.get(), pipeline_);
+    auto run =
+        estimate::RunEnsemble(*group_, pipeline, options.walker, ensemble);
+    if (run.ok()) run->pipeline_stats = pipeline.stats();
     // Freeze the tracker's bill/clock at run end: the handle (and later
     // scrapes) keep reading the tracker, but this run's accounting is
     // closed.
@@ -918,7 +921,8 @@ util::Result<core::StationaryBias> Sampler::BiasFor(
   auto cached = bias_cache_.find(spec.type);
   if (cached != bias_cache_.end()) return cached->second;
   access::SharedAccessGroup probe_group(backend_);
-  auto view = probe_group.MakeView();
+  net::RequestPipeline resolver(&probe_group, {.depth = 0});
+  auto view = probe_group.MakeView(resolver);
   HW_ASSIGN_OR_RETURN(auto probe,
                       core::MakeWalker(spec, view.get(), /*seed=*/0));
   const core::StationaryBias bias = probe->bias();

@@ -36,10 +36,10 @@
 // and a Sampler whose Run() returns a single RunHandle session object,
 // whatever machinery executes the walk underneath.
 //
-// Before this layer, every example, experiment and bench re-assembled the
-// same five seams by hand (GraphAccess/RemoteBackend, SharedAccessGroup,
-// HistoryStore::Open + LoadInto + set_history_journal, RequestPipeline or
-// SamplingService, then one of three RunEnsemble* entry points). The
+// Without this layer, every example, experiment and bench would assemble
+// the same seams by hand (GraphAccess/RemoteBackend, HistoryStore::Open +
+// LoadInto, a SharedAccessGroup journaling into the store, a
+// RequestPipeline or SamplingService, then estimate::RunEnsemble). The
 // facade owns that wiring once:
 //
 //   auto sampler = api::SamplerBuilder()
@@ -75,14 +75,16 @@ class RemoteRunHandle;
 
 namespace histwalk::api {
 
-// How runs execute. All modes go through the same walkers and produce the
-// same traces; they differ in who resolves cache misses and how many runs
+// How runs execute. All modes go through the same walkers, the same
+// singleflight miss path (a net::RequestPipeline) and produce the same
+// traces; they differ in who carries the wire requests and how many runs
 // can be in flight.
 enum class ExecutionMode {
-  // RunEnsemble: each walker's own thread fetches misses synchronously.
+  // A per-run pipeline at depth 0: each miss is fetched on the missing
+  // walker's own thread; concurrent misses on one node join its flight.
   kInline,
-  // RunEnsembleAsync: misses route through a per-run net::RequestPipeline
-  // (batched, singleflight-deduplicated, depth-bounded in flight).
+  // A per-run pipeline at depth D: misses are batched per cache shard and
+  // carried by D workers, at most D requests in flight.
   kPipelined,
   // service::SamplingService: each Run() is a tenant session over one
   // shared cache and one fair-scheduled multi-tenant pipeline; runs may
@@ -193,8 +195,8 @@ struct RunReport {
   // pipelined mode, the tenant's bill in service mode).
   uint64_t charged_queries = 0;
   // Service mode: this tenant's wire traffic and queue waits on the shared
-  // pipeline (zeros otherwise; pipelined mode reports its per-run pipeline
-  // in ensemble.pipeline_stats).
+  // pipeline (zeros otherwise; inline and pipelined modes report their
+  // per-run pipeline in ensemble.pipeline_stats).
   net::TenantPipelineStats tenant;
   // Simulated wire clock after the run (0 without WithRemoteWire).
   uint64_t sim_wall_us = 0;
@@ -236,8 +238,8 @@ struct RunReport {
 class Sampler;
 
 // One run's session object — the unified replacement for "call RunEnsemble
-// and hold the result", "call RunEnsembleAsync", and "Submit/Poll/Wait/
-// Detach a service session". Cheap to copy (copies observe the same run).
+// and hold the result" and "Submit/Poll/Wait/Detach a service session".
+// Cheap to copy (copies observe the same run).
 // Handles must not outlive their Sampler.
 class RunHandle {
  public:
@@ -357,8 +359,11 @@ class SamplerBuilder {
   SamplerBuilder& WithTelemetryServer(uint16_t port);
 
   // ---- execution mode -------------------------------------------------
-  // num_threads: ParallelFor workers for inline runs (0 = hardware).
+  // Inline runs resolve misses through a depth-0 pipeline on `num_threads`
+  // walker threads (0 = hardware concurrency).
   SamplerBuilder& RunInline(unsigned num_threads = 0);
+  // Pipelined runs use one thread per walker over a pipeline of `pipeline`
+  // options.
   SamplerBuilder& RunPipelined(net::RequestPipelineOptions pipeline = {});
   SamplerBuilder& RunAsService(ServiceConfig service = {});
   // Execute runs on a histwalk_serviced daemon at `endpoint` ("host:port",
@@ -412,9 +417,11 @@ class SamplerBuilder {
   bool store_read_tier_ = false;
   bool has_obs_ = false;
   ObservabilityOptions obs_;
+  // The execution mode's per-run pipeline and walker threads
+  // (estimate::EnsembleOptions::num_threads); defaults are RunInline().
   ExecutionMode mode_ = ExecutionMode::kInline;
-  unsigned inline_threads_ = 0;
-  net::RequestPipelineOptions pipeline_;
+  net::RequestPipelineOptions pipeline_{.depth = 0};
+  unsigned run_threads_ = std::thread::hardware_concurrency();
   ServiceConfig service_;
   std::string remote_endpoint_;
   uint64_t remote_rpc_timeout_ms_ = 0;
@@ -513,8 +520,9 @@ class Sampler {
   std::string RunsJson() const;
 
   ExecutionMode mode_ = ExecutionMode::kInline;
-  unsigned inline_threads_ = 0;
+  // Thread modes: each run's pipeline options and walker threads.
   net::RequestPipelineOptions pipeline_;
+  unsigned run_threads_ = 0;
   RunOptions defaults_;
   EstimandSelection estimand_;
   double confidence_ = 0.95;
@@ -532,15 +540,15 @@ class Sampler {
   const access::AccessBackend* backend_ = nullptr;
   std::unique_ptr<store::HistoryStore> owned_store_;
   store::HistoryStore* store_ = nullptr;
+  // Thread modes: the durable-history read tier and the per-sampler flight
+  // recorder group_ was built with (service mode records per session).
+  std::unique_ptr<access::CacheTier> store_tier_;
+  std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<access::SharedAccessGroup> group_;
   std::unique_ptr<service::SamplingService> service_;
   // Remote mode: the dialed daemon connection, shared with every run
   // handle (so cached reads survive the Sampler).
   std::shared_ptr<rpc::Client> rpc_client_;
-  // Thread modes: the durable-history read tier and the per-sampler flight
-  // recorder attached to group_ (service mode records per session).
-  std::unique_ptr<access::CacheTier> store_tier_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
   // The live HTTP endpoint; its serving thread reads registry() and
   // RunsJson(), so ~Sampler stops it before tearing anything else down.
   std::unique_ptr<obs::TelemetryServer> telemetry_;

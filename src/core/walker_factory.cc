@@ -71,8 +71,8 @@ util::Result<std::unique_ptr<Walker>> MakeWalker(const WalkerSpec& spec,
 }
 
 util::Result<std::vector<EnsembleMember>> MakeEnsemble(
-    const WalkerSpec& spec, access::SharedAccessGroup& group, uint32_t count,
-    uint64_t seed) {
+    const WalkerSpec& spec, access::SharedAccessGroup& group,
+    access::AsyncFetcher& resolver, uint32_t count, uint64_t seed) {
   if (count == 0) {
     return util::Status::InvalidArgument("ensemble needs at least one walker");
   }
@@ -80,7 +80,7 @@ util::Result<std::vector<EnsembleMember>> MakeEnsemble(
   members.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     EnsembleMember member;
-    member.access = group.MakeView();
+    member.access = group.MakeView(resolver);
     HW_ASSIGN_OR_RETURN(member.walker,
                         MakeWalker(spec, member.access.get(),
                                    util::SubSeed(seed, i)));

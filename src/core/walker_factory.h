@@ -50,13 +50,14 @@ struct EnsembleMember {
   std::unique_ptr<Walker> walker;
 };
 
-// Mints `count` members drawing from `group`'s shared cache. Member i's
-// walker is seeded with SubSeed(seed, i), so the ensemble is reproducible
-// bit-for-bit regardless of how members are later scheduled onto threads.
-// `group` must outlive the members.
+// Mints `count` members drawing from `group`'s shared cache, resolving
+// misses through `resolver`. Member i's walker is seeded with
+// SubSeed(seed, i), so the ensemble is reproducible bit-for-bit regardless
+// of how members are later scheduled onto threads. `group` and `resolver`
+// must outlive the members.
 util::Result<std::vector<EnsembleMember>> MakeEnsemble(
-    const WalkerSpec& spec, access::SharedAccessGroup& group, uint32_t count,
-    uint64_t seed);
+    const WalkerSpec& spec, access::SharedAccessGroup& group,
+    access::AsyncFetcher& resolver, uint32_t count, uint64_t seed);
 
 }  // namespace histwalk::core
 

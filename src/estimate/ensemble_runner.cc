@@ -29,15 +29,10 @@ MergedSamples EnsembleResult::Merged() const {
   return merged;
 }
 
-namespace {
-
-// Shared body of the sync and async runners; they differ only in how many
-// worker threads drive the walkers (and in what the group's miss path does,
-// which is the group's business, not ours).
-util::Result<EnsembleResult> RunEnsembleImpl(access::SharedAccessGroup& group,
-                                             const core::WalkerSpec& spec,
-                                             const EnsembleOptions& options,
-                                             unsigned run_threads) {
+util::Result<EnsembleResult> RunEnsemble(access::SharedAccessGroup& group,
+                                         access::AsyncFetcher& resolver,
+                                         const core::WalkerSpec& spec,
+                                         const EnsembleOptions& options) {
   if (options.num_walkers == 0) {
     return util::Status::InvalidArgument("ensemble needs at least one walker");
   }
@@ -52,7 +47,8 @@ util::Result<EnsembleResult> RunEnsembleImpl(access::SharedAccessGroup& group,
 
   HW_ASSIGN_OR_RETURN(
       std::vector<core::EnsembleMember> members,
-      core::MakeEnsemble(spec, group, options.num_walkers, options.seed));
+      core::MakeEnsemble(spec, group, resolver, options.num_walkers,
+                         options.seed));
 
   EnsembleResult result;
   // Start nodes come from their own sub-seed stream (offset past any walker
@@ -104,7 +100,7 @@ util::Result<EnsembleResult> RunEnsembleImpl(access::SharedAccessGroup& group,
           options.progress->FinishWalker(static_cast<uint32_t>(i));
         }
       },
-      run_threads);
+      options.num_threads == 0 ? options.num_walkers : options.num_threads);
 
   uint64_t private_bytes = 0;
   result.walker_stats.reserve(options.num_walkers);
@@ -124,49 +120,6 @@ util::Result<EnsembleResult> RunEnsembleImpl(access::SharedAccessGroup& group,
   result.cache_stats.evictions -= cache_before.evictions;
   result.history_bytes = group.cache().MemoryBytes() + private_bytes;
   return result;
-}
-
-}  // namespace
-
-util::Result<EnsembleResult> RunEnsemble(access::SharedAccessGroup& group,
-                                         const core::WalkerSpec& spec,
-                                         const EnsembleOptions& options) {
-  return RunEnsembleImpl(group, spec, options, options.num_threads);
-}
-
-util::Result<EnsembleResult> RunEnsembleAsync(
-    access::SharedAccessGroup& group, const core::WalkerSpec& spec,
-    const EnsembleOptions& options,
-    const net::RequestPipelineOptions& pipeline_options) {
-  if (group.async_fetcher() != nullptr) {
-    return util::Status::FailedPrecondition(
-        "group already has an async fetcher attached");
-  }
-  net::RequestPipelineOptions popts = pipeline_options;
-  // The ensemble's tracer covers the per-run pipeline too unless the
-  // caller wired a different one.
-  if (popts.tracer == nullptr) popts.tracer = options.tracer;
-  net::RequestPipeline pipeline(&group, popts);
-  group.set_async_fetcher(&pipeline);
-  // One thread per walker: a walker parked on an in-flight fetch must not
-  // stop the others from keeping the pipeline full.
-  auto result = RunEnsembleImpl(group, spec, options, options.num_walkers);
-  group.set_async_fetcher(nullptr);
-  if (result.ok()) result->pipeline_stats = pipeline.stats();
-  return result;
-}
-
-util::Result<EnsembleResult> RunEnsembleAttached(
-    access::SharedAccessGroup& group, const core::WalkerSpec& spec,
-    const EnsembleOptions& options) {
-  if (group.async_fetcher() == nullptr) {
-    return util::Status::FailedPrecondition(
-        "RunEnsembleAttached needs an async fetcher attached to the group");
-  }
-  // One thread per walker, as in RunEnsembleAsync: a walker parked on an
-  // in-flight fetch must not stop the others from keeping the shared
-  // pipeline full.
-  return RunEnsembleImpl(group, spec, options, options.num_walkers);
 }
 
 }  // namespace histwalk::estimate

@@ -13,13 +13,17 @@
 //
 // RunEnsemble drives N independent walkers in parallel (util::ParallelFor),
 // all drawing from one SharedAccessGroup: one backend, one bounded
-// HistoryCache, one service-billed query counter. Walker i's RNG and start
-// node derive from deterministic sub-seeds of `seed`, and each per-walker
-// trace depends only on that walker's own draws — never on what the cache
+// HistoryCache, one service-billed query counter. Cache misses resolve
+// through the run's resolver — a net::RequestPipeline at depth 0 (inline:
+// each fetch on the missing walker's thread) or depth D (pipelined), or a
+// service's per-tenant adapter — which collapses concurrent misses on one
+// node into one fetch. Walker i's RNG and start node derive from
+// deterministic sub-seeds of `seed`, and each per-walker trace depends
+// only on that walker's own draws — never on what the cache, the resolver
 // or the other walkers did — so the merged ensemble is reproducible
-// bit-for-bit across runs and thread schedules. Only the group-level charge
-// counter (which walker paid for which fetch) varies with interleaving, and
-// it is reported separately.
+// bit-for-bit across runs, thread schedules and pipeline depths. Which
+// walker paid for which fetch varies with interleaving; with a cache that
+// never evicts, the total bill does not.
 //
 // Exception: a group-level query_budget breaks the bit-for-bit guarantee.
 // Which walker loses the race for the last unit of budget — and therefore
@@ -38,7 +42,9 @@ struct EnsembleOptions {
   // count (its standalone cost), keeping the cut deterministic.
   uint64_t max_steps = 0;
   uint64_t query_budget = 0;
-  // Worker threads for ParallelFor (0 = hardware concurrency).
+  // Threads driving the walkers (0 = one per walker, so a walker parked on
+  // an in-flight fetch never stops the others from keeping a depth-D
+  // pipeline full).
   unsigned num_threads = 0;
   // Optional tracer (must outlive the run). Walker i's steps and cache
   // probes land on a "walker i" track, registered serially at run start so
@@ -72,8 +78,8 @@ struct EnsembleResult {
   access::QueryStats summed_stats;
   // Backend fetches this run actually issued — what the service bills the
   // whole ensemble. <= summed_stats.unique_queries when the cache is big
-  // enough; evictions push it back up. Interleaving-dependent only through
-  // rare duplicate concurrent fetches.
+  // enough; evictions push it back up. The resolver's singleflight makes it
+  // a function of the walks whenever the cache does not evict.
   uint64_t charged_queries = 0;
   // Cache activity attributable to THIS run: hits/misses/insertions/
   // evictions are deltas over the run; entries/bytes are the resident state
@@ -83,9 +89,10 @@ struct EnsembleResult {
   // Total history footprint after the run: resident cache bytes plus each
   // walker's private membership bits.
   uint64_t history_bytes = 0;
-  // Filled by RunEnsembleAsync only: the pipeline's wire traffic for this
-  // run (batching and singleflight-dedup effectiveness). All zeros for the
-  // synchronous runner.
+  // The per-run pipeline's wire traffic (batching and singleflight-dedup
+  // effectiveness), filled by the pipeline's owner — api::Sampler in
+  // inline and pipelined mode. All zeros for a service session, whose
+  // shared pipeline reports per tenant (RequestPipeline::tenant_stats).
   net::RequestPipelineStats pipeline_stats;
 
   uint64_t num_steps() const;
@@ -95,43 +102,15 @@ struct EnsembleResult {
   MergedSamples Merged() const;
 };
 
-// Runs the ensemble described by `options` against `group`. Walkers are
-// built from `spec` (see core::MakeEnsemble). The group is NOT reset first,
-// so successive ensembles can keep accumulating shared history;
+// Runs the ensemble described by `options` against `group`, resolving
+// cache misses through `resolver` (see access/async_fetcher.h). Walkers
+// are built from `spec` (see core::MakeEnsemble). The group is NOT reset
+// first, so successive ensembles can keep accumulating shared history;
 // charged_queries reports only this run's fetches.
 util::Result<EnsembleResult> RunEnsemble(access::SharedAccessGroup& group,
+                                         access::AsyncFetcher& resolver,
                                          const core::WalkerSpec& spec,
                                          const EnsembleOptions& options);
-
-// The overlapped-fetch variant: same walkers, same sub-seeds, same merged
-// traces (bit-identical nodes/degrees/unique_queries and per-walker
-// QueryStats as RunEnsemble), but cache misses are resolved through a
-// net::RequestPipeline attached to the group for the duration of the run —
-// concurrent misses are batched per cache shard and deduplicated
-// (singleflight), and each walker runs on its own thread so one walker
-// waiting on the wire never blocks the others' outstanding fetches. With
-// the group's backend wrapped in a net::RemoteBackend, pipeline depth D>1
-// drops the simulated crawl wall-clock while the trace stays identical;
-// options.num_threads is ignored (concurrency = num_walkers).
-//
-// The group must not already have an async fetcher attached; the one this
-// run attaches is detached before returning.
-util::Result<EnsembleResult> RunEnsembleAsync(
-    access::SharedAccessGroup& group, const core::WalkerSpec& spec,
-    const EnsembleOptions& options,
-    const net::RequestPipelineOptions& pipeline_options = {});
-
-// The service-session variant: like RunEnsembleAsync (one thread per
-// walker, misses resolved through the group's AsyncFetcher) but the
-// fetcher must ALREADY be attached and stays attached afterwards — it
-// belongs to a longer-lived owner (service::SamplingService routes every
-// tenant's misses through one shared multi-tenant pipeline). Fails with
-// kFailedPrecondition when no fetcher is attached. pipeline_stats is left
-// zeroed: the shared pipeline's accounting spans tenants and is reported
-// by its owner (RequestPipeline::tenant_stats), not per run.
-util::Result<EnsembleResult> RunEnsembleAttached(
-    access::SharedAccessGroup& group, const core::WalkerSpec& spec,
-    const EnsembleOptions& options);
 
 }  // namespace histwalk::estimate
 

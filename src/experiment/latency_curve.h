@@ -15,8 +15,8 @@
 // rather than charged queries — the axis a real crawler lives on.
 //
 // For each (pipeline depth, ensemble size) the harness wraps the dataset in
-// a net::RemoteBackend (seeded latency model, `depth` wire slots), runs a
-// RunEnsembleAsync ensemble through a RequestPipeline of the same depth,
+// a net::RemoteBackend (seeded latency model, `depth` wire slots), runs an
+// ensemble through a RequestPipeline of the same depth,
 // and records the estimate's relative error, the simulated wall-clock the
 // crawl took, the service-billed query count, and the pipeline's wire
 // traffic. Because the merged traces are bit-identical across depths (the

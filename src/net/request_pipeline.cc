@@ -143,7 +143,6 @@ void TenantQueue::DrainShard(TenantId t, uint32_t shard, uint32_t max_batch,
 
 RequestPipeline::RequestPipeline(RequestPipelineOptions options)
     : options_(options) {
-  if (options_.depth == 0) options_.depth = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.tracer != nullptr) {
     // Registered before the workers spawn so the track id is fixed by
@@ -267,6 +266,8 @@ util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedForImpl(
   while (true) {
     std::shared_future<WireReply> future;
     bool creator = false;
+    // Depth 0: the group this caller's own fetch runs against.
+    access::SharedAccessGroup* resolve_here = nullptr;
     {
       HW_PROF_SCOPE("pipeline/enqueue");
       std::unique_lock<std::mutex> lock(mu_);
@@ -311,19 +312,33 @@ util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedForImpl(
         pending->creator = tenant;
         future = pending->future;
         pending_.emplace(key, std::move(pending));
-        queue_->Enqueue(tenant, v);
         ++t.stats.submitted;
         HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_, "enqueue",
                               "\"node\":" + std::to_string(v) +
                                   ",\"tenant\":" + std::to_string(tenant));
-        t.stats.max_queue_depth =
-            std::max(t.stats.max_queue_depth, queue_->queued(tenant));
-        global_max_queue_depth_ =
-            std::max(global_max_queue_depth_, queue_->queued());
-        queue_depth_hist_.Record(queue_->queued());
         creator = true;
-        work_cv_.notify_one();
+        if (options_.depth == 0) {
+          // Depth 0: drained the instant it is submitted (wait 0), by this
+          // caller, below and outside the lock.
+          t.stats.wait.Record(0);
+          t.group->obs().pipeline_wait->Observe(0);
+          resolve_here = t.group;
+        } else {
+          queue_->Enqueue(tenant, v);
+          t.stats.max_queue_depth =
+              std::max(t.stats.max_queue_depth, queue_->queued(tenant));
+          global_max_queue_depth_ =
+              std::max(global_max_queue_depth_, queue_->queued());
+          queue_depth_hist_.Record(queue_->queued());
+          work_cv_.notify_one();
+        }
       }
+    }
+    if (resolve_here != nullptr) {
+      TenantQueue::Batch batch;
+      batch.tenant = tenant;
+      batch.ids.push_back(v);
+      ProcessBatch(batch, resolve_here);
     }
     WireReply reply = future.get();
     if (reply.status.ok()) {
@@ -379,7 +394,7 @@ void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
   const uint64_t batch_start_us =
       options_.tracer != nullptr ? options_.tracer->NowUs() : 0;
   // Claim the tenant's budget per node before touching the wire; refused
-  // ids never issue (same no-accounting semantics as the sync miss path).
+  // ids never issue and leave the charge accounting untouched.
   std::vector<graph::NodeId> to_fetch;
   std::vector<graph::NodeId> refused;
   to_fetch.reserve(batch.ids.size());

@@ -18,8 +18,9 @@
 #include "obs/trace.h"
 
 // Batched, deduplicated, tenant-fair fetch client for a (simulated or real)
-// remote backend — the AsyncFetcher implementation behind RunEnsembleAsync
-// and the wire funnel of service::SamplingService.
+// remote backend — the one miss resolver of every execution mode: the
+// per-run pipeline of inline (depth 0) and pipelined (depth D) runs, and
+// the shared wire funnel of service::SamplingService.
 //
 // Four mechanisms, composable because they all live behind one submit
 // queue:
@@ -27,7 +28,10 @@
 //  * Bounded in-flight depth. `depth` worker threads each carry at most
 //    one wire request, so the service never sees more than `depth`
 //    concurrent requests — the client-side analogue of the LatencyModel's
-//    max_in_flight slots.
+//    max_in_flight slots. Depth 0 starts no workers and queues nothing:
+//    the caller that creates a fetch resolves it on its own thread as a
+//    one-id batch (one wire request), and concurrent callers join its
+//    flight.
 //  * Per-shard batching. Queued node ids are bucketed by
 //    HistoryCache::ShardOf, and a worker drains up to `max_batch` ids of
 //    ONE shard of ONE tenant into a single FetchNeighborsBatch call: one
@@ -48,18 +52,17 @@
 //    order instead — the baseline the fairness experiments compare against.
 //
 // Budget: the pipeline claims the submitting tenant's group budget one
-// unit per fetched NODE (the same billing as the synchronous miss path),
-// so charged_queries stays comparable between sync and async runs;
-// batching buys wall-clock, not free queries. Ids refused by the budget
-// fail with kBudgetExhausted without going on the wire. A singleflight
-// join charges nothing — the creator tenant paid.
+// unit per fetched NODE at every depth, so charged_queries stays
+// comparable across depths; batching buys wall-clock, not free queries.
+// Ids refused by the budget fail with kBudgetExhausted without going on
+// the wire. A singleflight join charges nothing — the creator tenant paid.
 //
-// Tenants: the single-group constructor registers its group as tenant 0,
-// preserving the PR-2 single-ensemble behaviour exactly. A service
-// registers one tenant per session with AddTenant() and attaches the
-// per-tenant AsyncFetcher adapter (tenant_fetcher()) to that session's
-// group; FetchSharedFor(t, v) routes a miss through tenant t's queue,
-// budget and stats.
+// Tenants: the single-group constructor registers its group as tenant 0
+// (one ensemble run). A service registers one tenant per session with
+// AddTenant() and runs that session's walkers with the per-tenant
+// AsyncFetcher adapter (tenant_fetcher()) as their resolver;
+// FetchSharedFor(t, v) routes a miss through tenant t's queue, budget and
+// stats.
 
 namespace histwalk::net {
 
@@ -72,7 +75,7 @@ enum class PipelineSchedulerPolicy {
 
 struct RequestPipelineOptions {
   // Worker threads == bound on concurrently outstanding wire requests.
-  // Clamped to >= 1.
+  // 0 = no workers: each fetch runs on the thread that created it.
   uint32_t depth = 4;
   // Max neighbor fetches coalesced into one wire request. Clamped to >= 1.
   uint32_t max_batch = 8;
@@ -212,10 +215,9 @@ class RequestPipeline final : public access::AsyncFetcher {
   // tenants) and, when options.cross_tenant_dedup is on, share one cache.
   explicit RequestPipeline(RequestPipelineOptions options);
 
-  // Single-tenant convenience (the PR-2 shape): registers `group` as
-  // tenant 0 with weight 1. `group` must outlive the pipeline. Typical
-  // wiring: construct the pipeline, group.set_async_fetcher(&pipeline),
-  // run walkers, detach, destroy (RunEnsembleAsync does all of this).
+  // Single-tenant convenience: registers `group` as tenant 0 with weight
+  // 1. `group` must outlive the pipeline. Typical wiring: construct the
+  // pipeline, pass it as the resolver of estimate::RunEnsemble, destroy.
   explicit RequestPipeline(access::SharedAccessGroup* group,
                            RequestPipelineOptions options = {});
   // Drains already-queued fetches, then joins the workers.
@@ -242,8 +244,8 @@ class RequestPipeline final : public access::AsyncFetcher {
   void RemoveTenant(TenantId tenant);
 
   // A per-tenant AsyncFetcher adapter routing FetchShared to
-  // FetchSharedFor(tenant, v) — what a service attaches to tenant groups
-  // via set_async_fetcher. Valid for the pipeline's lifetime.
+  // FetchSharedFor(tenant, v) — the resolver a service runs a tenant's
+  // walkers with. Valid for the pipeline's lifetime.
   access::AsyncFetcher* tenant_fetcher(TenantId tenant);
 
   // AsyncFetcher: single-tenant entry point (tenant 0). Blocks until the

@@ -20,7 +20,7 @@
 namespace histwalk::obs {
 
 enum class FlightEventKind : uint8_t {
-  kWireFetch,         // miss resolved by a backend fetch (sync or batched)
+  kWireFetch,         // miss resolved by a backend fetch this call issued
   kStoreHit,          // miss resolved by the durable-history read tier
   kSingleflightJoin,  // miss joined another walker's in-flight fetch
   kBudgetRefusal,     // miss refused by the group/tenant query budget

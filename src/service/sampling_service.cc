@@ -128,32 +128,29 @@ util::Result<SessionId> SamplingService::Submit(const SessionOptions& options) {
   auto session = std::make_unique<Session>();
   session->id = next_id_++;
   session->options = options;
-  access::SharedAccessOptions group_options;
-  group_options.query_budget = options.tenant_query_budget;
-  group_options.registry = options_.registry;
-  if (options_.share_history) {
-    session->group = std::make_unique<access::SharedAccessGroup>(
-        backend_, shared_cache_, group_options);
-    if (options_.store != nullptr) {
-      // The shared journal funnel: all tenants insert into one cache, and
-      // Put's inserted-flag dedups across them, so the store sees every
-      // response exactly once whoever fetched it.
-      session->group->set_history_journal(options_.store);
-    }
-  } else {
-    group_options.cache = options_.cache;
-    session->group = std::make_unique<access::SharedAccessGroup>(
-        backend_, group_options);
-  }
   if (options_.flight_recorder_capacity > 0) {
     // Per-session ring on the service clock: the report's "why was I
     // slow / refused?" tail without a full trace file.
     session->flight = std::make_unique<obs::FlightRecorder>(
         options_.flight_recorder_capacity, [this] { return ClockNowUs(); });
-    session->group->set_flight_recorder(session->flight.get());
+  }
+  access::SharedAccessOptions group_options;
+  group_options.query_budget = options.tenant_query_budget;
+  group_options.registry = options_.registry;
+  group_options.flight_recorder = session->flight.get();
+  if (options_.share_history) {
+    // The shared journal funnel: all tenants insert into one cache, and
+    // Put's inserted-flag dedups across them, so the store sees every
+    // response exactly once whoever fetched it.
+    group_options.journal = options_.store;
+    session->group = std::make_unique<access::SharedAccessGroup>(
+        backend_, shared_cache_, group_options);
+  } else {
+    group_options.cache = options_.cache;
+    session->group = std::make_unique<access::SharedAccessGroup>(
+        backend_, group_options);
   }
   session->tenant = pipeline_.AddTenant(session->group.get(), options.weight);
-  session->group->set_async_fetcher(pipeline_.tenant_fetcher(session->tenant));
   if (session->options.progress != nullptr) {
     // The tracker's charge probe reads this session's own billing group;
     // RunSession freezes it before Detach can destroy the group.
@@ -180,8 +177,9 @@ void SamplingService::RunSession(Session* session) {
   ensemble_options.tracer = options_.tracer;
   obs::ProgressTracker* progress = session->options.progress.get();
   ensemble_options.progress = progress;
-  auto result = estimate::RunEnsembleAttached(
-      *session->group, session->options.walker, ensemble_options);
+  auto result = estimate::RunEnsemble(
+      *session->group, *pipeline_.tenant_fetcher(session->tenant),
+      session->options.walker, ensemble_options);
   const uint64_t done_us = ClockNowUs();
   if (progress != nullptr) {
     // Freeze the probes while the group is still guaranteed alive (Detach

@@ -238,8 +238,8 @@ class SamplingService {
     SessionState state = SessionState::kRunning;
     util::Status error;  // kFailed detail
     SessionReport report;
+    std::unique_ptr<obs::FlightRecorder> flight;  // outlives the group
     std::unique_ptr<access::SharedAccessGroup> group;
-    std::unique_ptr<obs::FlightRecorder> flight;  // outlives group use
     net::TenantId tenant = 0;
     std::thread thread;  // joined by Detach or the destructor
   };

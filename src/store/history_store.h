@@ -15,10 +15,10 @@
 #include "store/wal.h"
 
 // The durable history subsystem: one snapshot file + one WAL, managed
-// together. Attach a HistoryStore to a SharedAccessGroup
-// (group.set_history_journal(&store)) and every neighbor list the crawl
-// fetches — through the synchronous miss path or the request pipeline —
-// is journaled as it lands in the shared cache; LoadInto() rebuilds that
+// together. Build a SharedAccessGroup with the store as its journal
+// (SharedAccessOptions::journal) and every neighbor list the crawl fetches
+// through the request pipeline, at any depth, is journaled as it lands in
+// the shared cache; LoadInto() rebuilds that
 // cache in a fresh process, so crawls resume across restarts and a second
 // sampling task starts warm (the paper's history reuse, made persistent).
 //

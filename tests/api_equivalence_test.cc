@@ -2,11 +2,15 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "access/graph_access.h"
 #include "api/sampler.h"
 #include "estimate/ensemble_runner.h"
 #include "graph/generators.h"
+#include "net/request_pipeline.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "rpc/server.h"
@@ -74,8 +78,9 @@ TEST(ApiEquivalenceTest, InlineMatchesManualRunEnsemble) {
 
   access::GraphAccess backend(&graph, nullptr);
   access::SharedAccessGroup group(&backend);
+  net::RequestPipeline resolver(&group, {.depth = 0});
   auto manual = estimate::RunEnsemble(
-      group, {.type = core::WalkerType::kCnrw}, kManualOptions);
+      group, resolver, {.type = core::WalkerType::kCnrw}, kManualOptions);
   ASSERT_TRUE(manual.ok());
 
   RunReport facade = FacadeRun(SamplerBuilder()
@@ -95,8 +100,9 @@ TEST(ApiEquivalenceTest, InlineMatchesManualUnderBoundedCache) {
   access::GraphAccess backend(&graph, nullptr);
   access::SharedAccessGroup group(
       &backend, {.cache = {.capacity = 64, .num_shards = 4}});
+  net::RequestPipeline resolver(&group, {.depth = 0});
   auto manual = estimate::RunEnsemble(
-      group, {.type = core::WalkerType::kCnrw}, kManualOptions);
+      group, resolver, {.type = core::WalkerType::kCnrw}, kManualOptions);
   ASSERT_TRUE(manual.ok());
 
   RunReport facade = FacadeRun(SamplerBuilder()
@@ -112,15 +118,15 @@ TEST(ApiEquivalenceTest, InlineMatchesManualUnderBoundedCache) {
 
 // ---- pipelined mode ---------------------------------------------------
 
-TEST(ApiEquivalenceTest, PipelinedMatchesManualAsyncAtEveryDepth) {
+TEST(ApiEquivalenceTest, PipelinedMatchesManualPipelineAtEveryDepth) {
   graph::Graph graph = TestGraph();
   access::GraphAccess backend(&graph, nullptr);
 
   for (uint32_t depth : {1u, 3u}) {
     access::SharedAccessGroup group(&backend);
-    auto manual = estimate::RunEnsembleAsync(
-        group, {.type = core::WalkerType::kCnrw}, kManualOptions,
-        {.depth = depth, .max_batch = 4});
+    net::RequestPipeline pipeline(&group, {.depth = depth, .max_batch = 4});
+    auto manual = estimate::RunEnsemble(
+        group, pipeline, {.type = core::WalkerType::kCnrw}, kManualOptions);
     ASSERT_TRUE(manual.ok()) << "depth " << depth;
 
     RunReport facade =
@@ -131,8 +137,8 @@ TEST(ApiEquivalenceTest, PipelinedMatchesManualAsyncAtEveryDepth) {
                       .WithEnsemble(kWalkers, kSeed)
                       .StopAfterSteps(kSteps));
     ExpectSameRun(*manual, facade.ensemble);
-    // Singleflight makes the async bill deterministic (unbounded cache:
-    // every distinct node is fetched exactly once).
+    // Singleflight makes the bill deterministic (unbounded cache: every
+    // distinct node is fetched exactly once).
     EXPECT_EQ(manual->charged_queries, facade.charged_queries) << "depth "
                                                                << depth;
     EXPECT_EQ(facade.ensemble.pipeline_stats.wire_items,
@@ -304,6 +310,43 @@ TEST(ApiEquivalenceTest, AllThreeModesProduceIdenticalTraces) {
   ExpectSameRun(inline_run.ensemble, service.ensemble);
   EXPECT_EQ(inline_run.charged_queries, pipelined.charged_queries);
   EXPECT_EQ(inline_run.charged_queries, service.charged_queries);
+}
+
+// The paper bills unique queries, so with a cache that never evicts the
+// bill is a function of the walks: every mode, thread count and pipeline
+// depth resolves misses through one singleflight path and must charge
+// exactly the same queries — next to identical traces and estimate bits.
+TEST(ApiEquivalenceTest, BillIsIdenticalAcrossModesThreadsAndDepths) {
+  graph::Graph graph = TestGraph();
+  auto base = [&] {
+    return SamplerBuilder()
+        .OverGraph(&graph)
+        .WithWalker({.type = core::WalkerType::kCnrw})
+        .WithEnsemble(/*num_walkers=*/8, /*seed=*/17)
+        .StopAfterSteps(kSteps)
+        .EstimateAverageDegree();
+  };
+  const RunReport reference = FacadeRun(base().RunInline(/*num_threads=*/1));
+  EXPECT_GT(reference.charged_queries, 0u);
+  std::vector<std::pair<std::string, RunReport>> runs;
+  for (unsigned threads : {4u, 8u}) {
+    runs.emplace_back("inline/" + std::to_string(threads),
+                      FacadeRun(base().RunInline(threads)));
+  }
+  for (uint32_t depth : {1u, 4u, 8u}) {
+    runs.emplace_back("pipelined/" + std::to_string(depth),
+                      FacadeRun(base().RunPipelined({.depth = depth})));
+  }
+  runs.emplace_back("service", FacadeRun(base().RunAsService()));
+
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  for (const auto& [name, run] : runs) {
+    SCOPED_TRACE(name);
+    ExpectSameRun(reference.ensemble, run.ensemble);
+    EXPECT_EQ(reference.charged_queries, run.charged_queries);
+    EXPECT_EQ(bits(reference.estimate), bits(run.estimate));
+    EXPECT_EQ(bits(reference.std_error), bits(run.std_error));
+  }
 }
 
 // ---- progress-tracking equivalence ------------------------------------

@@ -4,13 +4,15 @@
 #include "estimate/ensemble_runner.h"
 #include "graph/generators.h"
 #include "net/remote_backend.h"
+#include "net/request_pipeline.h"
 #include "util/random.h"
 
-// The acceptance contract of RunEnsembleAsync: pipelined fetching changes
-// WHEN responses arrive (simulated wall-clock), never WHAT the walkers do.
-// Merged traces and per-walker QueryStats must be bit-identical to the
-// synchronous runner at every pipeline depth, while the RemoteBackend's
-// simulated clock shows depth > 1 finishing the same crawl sooner.
+// The acceptance contract of pipelined fetching: the resolver's depth
+// changes WHEN responses arrive (simulated wall-clock), never WHAT the
+// walkers do. Merged traces and per-walker QueryStats must be bit-identical
+// between depth 0 (inline: each fetch on the missing walker's thread) and
+// every depth D, while the RemoteBackend's simulated clock shows depth > 1
+// finishing the same crawl sooner.
 
 namespace histwalk::estimate {
 namespace {
@@ -22,6 +24,23 @@ graph::Graph TestGraph() {
 
 const EnsembleOptions kOptions{.num_walkers = 6, .seed = 3,
                                .max_steps = 150};
+
+// Runs a CNRW ensemble over `group` through a per-run pipeline of
+// `pipeline_options`, filling pipeline_stats the way api::Sampler does.
+EnsembleResult RunThroughPipeline(
+    access::SharedAccessGroup& group,
+    const net::RequestPipelineOptions& pipeline_options,
+    const EnsembleOptions& options = kOptions) {
+  net::RequestPipeline pipeline(&group, pipeline_options);
+  auto result =
+      RunEnsemble(group, pipeline, {.type = core::WalkerType::kCnrw}, options);
+  if (!result.ok()) {
+    ADD_FAILURE() << "RunEnsemble failed: " << result.status();
+    return EnsembleResult{};
+  }
+  result->pipeline_stats = pipeline.stats();
+  return *std::move(result);
+}
 
 void ExpectSameRun(const EnsembleResult& a, const EnsembleResult& b) {
   ASSERT_EQ(a.starts, b.starts);
@@ -43,82 +62,72 @@ void ExpectSameRun(const EnsembleResult& a, const EnsembleResult& b) {
   }
 }
 
-TEST(RunEnsembleAsyncTest, MatchesSyncRunnerBitForBitAtEveryDepth) {
+TEST(PipelineDepthTest, DepthZeroMatchesEveryDepthBitForBit) {
   graph::Graph graph = TestGraph();
   access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup sync_group(&backend);
-  auto sync_run =
-      RunEnsemble(sync_group, {.type = core::WalkerType::kCnrw}, kOptions);
-  ASSERT_TRUE(sync_run.ok());
+  access::SharedAccessGroup inline_group(&backend);
+  const EnsembleResult inline_run =
+      RunThroughPipeline(inline_group, {.depth = 0});
+  // Depth 0 still goes through the pipeline: one wire request per fetch.
+  EXPECT_EQ(inline_run.pipeline_stats.wire_requests,
+            inline_run.charged_queries);
 
   for (uint32_t depth : {1u, 2u, 4u}) {
-    access::SharedAccessGroup async_group(&backend);
-    auto async_run =
-        RunEnsembleAsync(async_group, {.type = core::WalkerType::kCnrw},
-                         kOptions, {.depth = depth, .max_batch = 4});
-    ASSERT_TRUE(async_run.ok()) << "depth " << depth;
-    ExpectSameRun(*sync_run, *async_run);
+    access::SharedAccessGroup group(&backend);
+    const EnsembleResult run =
+        RunThroughPipeline(group, {.depth = depth, .max_batch = 4});
+    ExpectSameRun(inline_run, run);
+    // With a cache that never evicts, the bill is a function of the walks.
+    EXPECT_EQ(run.charged_queries, inline_run.charged_queries)
+        << "depth " << depth;
     // The pipeline actually carried the misses.
-    EXPECT_GT(async_run->pipeline_stats.wire_requests, 0u);
-    EXPECT_EQ(async_run->pipeline_stats.wire_items,
-              async_run->charged_queries);
+    EXPECT_GT(run.pipeline_stats.wire_requests, 0u);
+    EXPECT_EQ(run.pipeline_stats.wire_items, run.charged_queries);
     // Lookup conservation pins the no-double-count guarantee: every
     // Neighbors() call is exactly one cache lookup, and the pipeline adds
     // lookups only on its (hit-only) late-hit path — its submit-time probe
     // peeks with the stats-free Contains(). Before that fix, every
     // submitted miss counted twice and this identity broke by
     // pipeline_stats.submitted.
-    EXPECT_EQ(async_run->cache_stats.hits + async_run->cache_stats.misses,
-              async_run->summed_stats.total_queries +
-                  async_run->pipeline_stats.late_hits)
+    EXPECT_EQ(run.cache_stats.hits + run.cache_stats.misses,
+              run.summed_stats.total_queries + run.pipeline_stats.late_hits)
         << "depth " << depth;
   }
 }
 
-TEST(RunEnsembleAsyncTest, MatchesSyncUnderBoundedCache) {
+TEST(PipelineDepthTest, DepthZeroMatchesDepthThreeUnderBoundedCache) {
   graph::Graph graph = TestGraph();
   access::GraphAccess backend(&graph, nullptr);
   access::SharedAccessOptions group_options{
       .cache = {.capacity = 64, .num_shards = 4}};
-  access::SharedAccessGroup sync_group(&backend, group_options);
-  auto sync_run =
-      RunEnsemble(sync_group, {.type = core::WalkerType::kCnrw}, kOptions);
-  ASSERT_TRUE(sync_run.ok());
-
-  access::SharedAccessGroup async_group(&backend, group_options);
-  auto async_run =
-      RunEnsembleAsync(async_group, {.type = core::WalkerType::kCnrw},
-                       kOptions, {.depth = 3, .max_batch = 4});
-  ASSERT_TRUE(async_run.ok());
-  ExpectSameRun(*sync_run, *async_run);
+  access::SharedAccessGroup inline_group(&backend, group_options);
+  access::SharedAccessGroup group(&backend, group_options);
+  ExpectSameRun(RunThroughPipeline(inline_group, {.depth = 0}),
+                RunThroughPipeline(group, {.depth = 3, .max_batch = 4}));
 }
 
-TEST(RunEnsembleAsyncTest, AsyncRunsAreReproducible) {
+TEST(PipelineDepthTest, RunsAreReproducibleAtEveryDepth) {
   graph::Graph graph = TestGraph();
   access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group_a(&backend);
-  access::SharedAccessGroup group_b(&backend);
-  auto a = RunEnsembleAsync(group_a, {.type = core::WalkerType::kCnrw},
-                            kOptions, {.depth = 4});
-  auto b = RunEnsembleAsync(group_b, {.type = core::WalkerType::kCnrw},
-                            kOptions, {.depth = 4});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectSameRun(*a, *b);
+  for (uint32_t depth : {0u, 4u}) {
+    access::SharedAccessGroup group_a(&backend);
+    access::SharedAccessGroup group_b(&backend);
+    const EnsembleResult a = RunThroughPipeline(group_a, {.depth = depth});
+    const EnsembleResult b = RunThroughPipeline(group_b, {.depth = depth});
+    ExpectSameRun(a, b);
+    EXPECT_EQ(a.charged_queries, b.charged_queries) << "depth " << depth;
+  }
 }
 
-TEST(RunEnsembleAsyncTest, DeeperPipelineShrinksSimulatedWallClock) {
+TEST(PipelineDepthTest, DeeperPipelineShrinksSimulatedWallClock) {
   graph::Graph graph = TestGraph();
   access::GraphAccess inner(&graph, nullptr);
 
   auto sim_wall_at_depth = [&](uint32_t depth) {
     net::RemoteBackend remote(&inner, {.seed = 11, .max_in_flight = depth});
     access::SharedAccessGroup group(&remote);
-    auto run = RunEnsembleAsync(group, {.type = core::WalkerType::kCnrw},
-                                {.num_walkers = 8, .seed = 5,
-                                 .max_steps = 200},
-                                {.depth = depth, .max_batch = 8});
-    EXPECT_TRUE(run.ok());
+    RunThroughPipeline(group, {.depth = depth, .max_batch = 8},
+                       {.num_walkers = 8, .seed = 5, .max_steps = 200});
     return remote.sim_now_us();
   };
 
@@ -129,35 +138,23 @@ TEST(RunEnsembleAsyncTest, DeeperPipelineShrinksSimulatedWallClock) {
   EXPECT_LT(overlapped * 2, serial);
 }
 
-TEST(RunEnsembleAsyncTest, GroupBudgetSurfacesTypedStatus) {
+TEST(PipelineDepthTest, GroupBudgetSurfacesTypedStatusAtEveryDepth) {
   graph::Graph graph = TestGraph();
   access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group(&backend, {.query_budget = 40});
-  auto run = RunEnsembleAsync(group, {.type = core::WalkerType::kCnrw},
-                              {.num_walkers = 4, .seed = 9,
-                               .max_steps = 10'000},
-                              {.depth = 2, .max_batch = 4});
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(group.charged_queries(), 40u);
-  bool any_exhausted = false;
-  for (const TracedWalk& trace : run->traces) {
-    if (trace.final_status.code() == util::StatusCode::kBudgetExhausted) {
-      any_exhausted = true;
+  for (uint32_t depth : {0u, 2u}) {
+    access::SharedAccessGroup group(&backend, {.query_budget = 40});
+    const EnsembleResult run = RunThroughPipeline(
+        group, {.depth = depth, .max_batch = 4},
+        {.num_walkers = 4, .seed = 9, .max_steps = 10'000});
+    EXPECT_EQ(group.charged_queries(), 40u) << "depth " << depth;
+    bool any_exhausted = false;
+    for (const TracedWalk& trace : run.traces) {
+      if (trace.final_status.code() == util::StatusCode::kBudgetExhausted) {
+        any_exhausted = true;
+      }
     }
+    EXPECT_TRUE(any_exhausted) << "depth " << depth;
   }
-  EXPECT_TRUE(any_exhausted);
-}
-
-TEST(RunEnsembleAsyncTest, RefusesDoubleAttachment) {
-  graph::Graph graph = TestGraph();
-  access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group(&backend);
-  net::RequestPipeline pipeline(&group, {});
-  group.set_async_fetcher(&pipeline);
-  auto run = RunEnsembleAsync(group, {.type = core::WalkerType::kCnrw},
-                              kOptions, {});
-  EXPECT_EQ(run.status().code(), util::StatusCode::kFailedPrecondition);
-  group.set_async_fetcher(nullptr);
 }
 
 }  // namespace

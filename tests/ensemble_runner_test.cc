@@ -3,6 +3,7 @@
 #include "access/graph_access.h"
 #include "estimate/ensemble_runner.h"
 #include "graph/generators.h"
+#include "net/request_pipeline.h"
 #include "util/random.h"
 
 namespace histwalk::estimate {
@@ -19,7 +20,9 @@ EnsembleResult RunCnrwEnsemble(const graph::Graph& graph,
   access::GraphAccess backend(&graph, nullptr);
   access::SharedAccessGroup group(
       &backend, {.cache = {.capacity = cache_capacity, .num_shards = 4}});
-  auto result = RunEnsemble(group, {.type = core::WalkerType::kCnrw}, options);
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto result =
+      RunEnsemble(group, resolver, {.type = core::WalkerType::kCnrw}, options);
   if (!result.ok()) {
     ADD_FAILURE() << "RunEnsemble failed: " << result.status();
     return EnsembleResult{};
@@ -149,9 +152,10 @@ TEST(EnsembleRunnerTest, GroupBudgetExhaustionStopsWalkers) {
   graph::Graph graph = TestGraph();
   access::GraphAccess backend(&graph, nullptr);
   access::SharedAccessGroup group(&backend, {.query_budget = 40});
-  auto result = RunEnsemble(group, {.type = core::WalkerType::kCnrw},
-                            {.num_walkers = 4, .seed = 9,
-                             .max_steps = 10'000});
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto result = RunEnsemble(
+      group, resolver, {.type = core::WalkerType::kCnrw},
+      {.num_walkers = 4, .seed = 9, .max_steps = 10'000});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(group.charged_queries(), 40u);
   bool any_exhausted = false;
@@ -172,10 +176,12 @@ TEST(EnsembleRunnerTest, SuccessiveEnsemblesReportPerRunCacheStats) {
   graph::Graph graph = TestGraph();
   access::GraphAccess backend(&graph, nullptr);
   access::SharedAccessGroup group(&backend);
-  auto first = RunEnsemble(group, {.type = core::WalkerType::kCnrw},
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto first = RunEnsemble(group, resolver, {.type = core::WalkerType::kCnrw},
                            {.num_walkers = 4, .seed = 1, .max_steps = 100});
-  auto second = RunEnsemble(group, {.type = core::WalkerType::kCnrw},
-                            {.num_walkers = 4, .seed = 2, .max_steps = 100});
+  auto second =
+      RunEnsemble(group, resolver, {.type = core::WalkerType::kCnrw},
+                  {.num_walkers = 4, .seed = 2, .max_steps = 100});
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   // Each result reports its own cache traffic; the deltas sum back to the
@@ -185,8 +191,8 @@ TEST(EnsembleRunnerTest, SuccessiveEnsemblesReportPerRunCacheStats) {
             lifetime.hits);
   EXPECT_EQ(first->cache_stats.insertions + second->cache_stats.insertions,
             lifetime.insertions);
-  // Every backend fetch inserts exactly once (unbounded cache, no races in
-  // this sequential-group scenario).
+  // Every backend fetch inserts exactly once (unbounded cache; concurrent
+  // misses on one node share one fetch).
   EXPECT_EQ(second->cache_stats.insertions, second->charged_queries);
   // The second run walks over history the first run built: it inserts
   // less than it would on a fresh group.
@@ -197,18 +203,19 @@ TEST(EnsembleRunnerTest, RejectsBadOptions) {
   graph::Graph graph = TestGraph();
   access::GraphAccess backend(&graph, nullptr);
   access::SharedAccessGroup group(&backend);
-  EXPECT_EQ(RunEnsemble(group, {.type = core::WalkerType::kCnrw},
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  EXPECT_EQ(RunEnsemble(group, resolver, {.type = core::WalkerType::kCnrw},
                         {.num_walkers = 0, .max_steps = 10})
                 .status()
                 .code(),
             util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(RunEnsemble(group, {.type = core::WalkerType::kCnrw},
+  EXPECT_EQ(RunEnsemble(group, resolver, {.type = core::WalkerType::kCnrw},
                         {.num_walkers = 4})
                 .status()
                 .code(),
             util::StatusCode::kInvalidArgument);
   // Walker construction errors propagate (GNRW needs a grouping).
-  EXPECT_EQ(RunEnsemble(group, {.type = core::WalkerType::kGnrw},
+  EXPECT_EQ(RunEnsemble(group, resolver, {.type = core::WalkerType::kGnrw},
                         {.num_walkers = 4, .max_steps = 10})
                 .status()
                 .code(),

@@ -1,11 +1,64 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+
 #include "access/graph_access.h"
 #include "access/shared_access.h"
 #include "graph/generators.h"
+#include "net/request_pipeline.h"
 
 namespace histwalk::access {
 namespace {
+
+// Forwards to `inner`, but holds every FetchNeighbors call until Release(),
+// so a test can line a second caller up behind a fetch in flight.
+class GatedBackend final : public AccessBackend {
+ public:
+  explicit GatedBackend(const AccessBackend* inner) : inner_(inner) {}
+
+  util::Result<std::span<const graph::NodeId>> FetchNeighbors(
+      graph::NodeId v) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++fetches_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return inner_->FetchNeighbors(v);
+  }
+  util::Result<double> FetchAttribute(graph::NodeId v,
+                                      attr::AttrId attr) const override {
+    return inner_->FetchAttribute(v, attr);
+  }
+  util::Result<uint32_t> FetchSummaryDegree(graph::NodeId v) const override {
+    return inner_->FetchSummaryDegree(v);
+  }
+  uint64_t num_nodes() const override { return inner_->num_nodes(); }
+  std::string name() const override { return "gated"; }
+
+  // Blocks until a fetch has reached the backend.
+  void WaitForFetch() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return fetches_ > 0; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  int fetches() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fetches_;
+  }
+
+ private:
+  const AccessBackend* inner_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int fetches_ = 0;
+  bool released_ = false;
+};
 
 class SharedAccessTest : public testing::Test {
  protected:
@@ -16,7 +69,8 @@ class SharedAccessTest : public testing::Test {
 
 TEST_F(SharedAccessTest, ViewServesNeighborsAndMetadata) {
   SharedAccessGroup group(&backend_);
-  auto view = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto view = group.MakeView(resolver);
   auto ns = view->Neighbors(0);
   ASSERT_TRUE(ns.ok());
   ASSERT_EQ(ns->size(), 2u);
@@ -30,7 +84,8 @@ TEST_F(SharedAccessTest, ViewServesNeighborsAndMetadata) {
 
 TEST_F(SharedAccessTest, PerViewAccountingMatchesStandaloneSemantics) {
   SharedAccessGroup group(&backend_);
-  auto view = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto view = group.MakeView(resolver);
   EXPECT_TRUE(view->Neighbors(0).ok());
   EXPECT_TRUE(view->Neighbors(1).ok());
   EXPECT_TRUE(view->Neighbors(0).ok());  // own repeat
@@ -44,8 +99,9 @@ TEST_F(SharedAccessTest, PerViewAccountingMatchesStandaloneSemantics) {
 
 TEST_F(SharedAccessTest, SecondWalkerFreeRidesOnSharedHistory) {
   SharedAccessGroup group(&backend_);
-  auto a = group.MakeView();
-  auto b = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto a = group.MakeView(resolver);
+  auto b = group.MakeView(resolver);
   EXPECT_TRUE(a->Neighbors(0).ok());
   EXPECT_TRUE(a->Neighbors(1).ok());
   // b asks for the same nodes: charged nothing, but its own accounting
@@ -59,10 +115,46 @@ TEST_F(SharedAccessTest, SecondWalkerFreeRidesOnSharedHistory) {
   EXPECT_EQ(a->stats().unique_queries + b->stats().unique_queries, 4u);
 }
 
+// Regression: two walkers missing one node at the same instant pay for it
+// once. The second caller joins the first's flight (singleflight) even at
+// depth 0, where the first caller runs the fetch on its own thread.
+TEST_F(SharedAccessTest, ConcurrentMissesOnOneNodeChargeOnceAtDepthZero) {
+  GatedBackend gated(&backend_);
+  SharedAccessGroup group(&gated);
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto a = group.MakeView(resolver);
+  auto b = group.MakeView(resolver);
+  std::thread first([&] { EXPECT_TRUE(a->Neighbors(0).ok()); });
+  gated.WaitForFetch();  // a's fetch is on the wire, held there
+  std::thread second([&] { EXPECT_TRUE(b->Neighbors(0).ok()); });
+  // Hold the wire until b has joined; the deadline turns a regression
+  // (b fetching on its own) into a failure instead of a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (resolver.stats().dedup_joins == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gated.Release();
+  first.join();
+  second.join();
+
+  EXPECT_EQ(resolver.stats().dedup_joins, 1u);
+  EXPECT_EQ(gated.fetches(), 1);
+  EXPECT_EQ(group.charged_queries(), 1u);
+  EXPECT_EQ(group.cache().stats().insertions, 1u);
+  EXPECT_EQ(a->charged_fetches(), 1u);
+  EXPECT_EQ(b->charged_fetches(), 0u);
+  // Both walkers still count the node as their own unique query.
+  EXPECT_EQ(a->stats().unique_queries, 1u);
+  EXPECT_EQ(b->stats().unique_queries, 1u);
+}
+
 TEST_F(SharedAccessTest, GroupBudgetIsSharedAndClamps) {
   SharedAccessGroup group(&backend_, {.query_budget = 3});
-  auto a = group.MakeView();
-  auto b = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto a = group.MakeView(resolver);
+  auto b = group.MakeView(resolver);
   EXPECT_TRUE(a->Neighbors(0).ok());
   EXPECT_TRUE(a->Neighbors(1).ok());
   EXPECT_TRUE(b->Neighbors(2).ok());
@@ -84,7 +176,8 @@ TEST_F(SharedAccessTest, GroupBudgetIsSharedAndClamps) {
 // a per-access budget stop (kResourceExhausted) and from real errors.
 TEST_F(SharedAccessTest, GroupBudgetRefusalIsTypedBudgetExhausted) {
   SharedAccessGroup group(&backend_, {.query_budget = 1});
-  auto view = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto view = group.MakeView(resolver);
   EXPECT_TRUE(view->Neighbors(0).ok());
   util::Status refusal = view->Neighbors(1).status();
   EXPECT_EQ(refusal.code(), util::StatusCode::kBudgetExhausted);
@@ -101,7 +194,8 @@ TEST_F(SharedAccessTest, EvictionForcesRecharge) {
   // Capacity 1: alternating between two nodes evicts on every switch.
   SharedAccessGroup group(&backend_,
                           {.cache = {.capacity = 1, .num_shards = 1}});
-  auto view = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto view = group.MakeView(resolver);
   EXPECT_TRUE(view->Neighbors(0).ok());
   EXPECT_TRUE(view->Neighbors(1).ok());  // evicts 0
   EXPECT_TRUE(view->Neighbors(0).ok());  // miss again: recharged
@@ -116,10 +210,11 @@ TEST_F(SharedAccessTest, EvictionForcesRecharge) {
 TEST_F(SharedAccessTest, SpanSurvivesEvictionOfItsEntry) {
   SharedAccessGroup group(&backend_,
                           {.cache = {.capacity = 1, .num_shards = 1}});
-  auto view = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto view = group.MakeView(resolver);
   auto ns = view->Neighbors(0);
   ASSERT_TRUE(ns.ok());
-  auto other = group.MakeView();
+  auto other = group.MakeView(resolver);
   EXPECT_TRUE(other->Neighbors(1).ok());  // evicts node 0's entry
   EXPECT_FALSE(group.cache().Contains(0));
   // The first view's span still reads valid data (retained handle).
@@ -129,7 +224,8 @@ TEST_F(SharedAccessTest, SpanSurvivesEvictionOfItsEntry) {
 
 TEST_F(SharedAccessTest, ViewResetLeavesGroupStateAlone) {
   SharedAccessGroup group(&backend_);
-  auto view = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto view = group.MakeView(resolver);
   EXPECT_TRUE(view->Neighbors(0).ok());
   view->ResetAccounting();
   EXPECT_EQ(view->stats().total_queries, 0u);
@@ -143,7 +239,8 @@ TEST_F(SharedAccessTest, ViewResetLeavesGroupStateAlone) {
 
 TEST_F(SharedAccessTest, GroupResetClearsCacheAndCharges) {
   SharedAccessGroup group(&backend_);
-  auto view = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto view = group.MakeView(resolver);
   EXPECT_TRUE(view->Neighbors(0).ok());
   group.ResetAll();
   EXPECT_EQ(group.charged_queries(), 0u);
@@ -154,8 +251,9 @@ TEST_F(SharedAccessTest, GroupResetClearsCacheAndCharges) {
 
 TEST_F(SharedAccessTest, HistoryBytesReportsCacheAndPrivateBits) {
   SharedAccessGroup group(&backend_);
-  auto a = group.MakeView();
-  auto b = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto a = group.MakeView(resolver);
+  auto b = group.MakeView(resolver);
   // 8 nodes -> 1 byte of membership bits per view, even before any query.
   EXPECT_EQ(a->private_history_bytes(), 1u);
   EXPECT_EQ(a->HistoryBytes(), 1u);
@@ -171,13 +269,15 @@ TEST_F(SharedAccessTest, GroupsOverOneExternalCacheShareHistory) {
   // for both.
   HistoryCache shared_cache({.num_shards = 4});
   SharedAccessGroup tenant_a(&backend_, shared_cache);
+  net::RequestPipeline resolver_a(&tenant_a, {.depth = 0});
   SharedAccessGroup tenant_b(&backend_, shared_cache);
+  net::RequestPipeline resolver_b(&tenant_b, {.depth = 0});
   EXPECT_TRUE(tenant_a.uses_shared_cache());
   EXPECT_TRUE(tenant_b.uses_shared_cache());
   EXPECT_EQ(&tenant_a.cache(), &shared_cache);
 
-  auto a = tenant_a.MakeView();
-  auto b = tenant_b.MakeView();
+  auto a = tenant_a.MakeView(resolver_a);
+  auto b = tenant_b.MakeView(resolver_b);
   EXPECT_TRUE(a->Neighbors(0).ok());
   EXPECT_TRUE(a->Neighbors(1).ok());
   // Tenant B free-rides on A's history: its standalone accounting still
@@ -194,9 +294,11 @@ TEST_F(SharedAccessTest, GroupsOverOneExternalCacheShareHistory) {
 TEST_F(SharedAccessTest, PerTenantBudgetsAreIndependentOverSharedCache) {
   HistoryCache shared_cache({.num_shards = 4});
   SharedAccessGroup tenant_a(&backend_, shared_cache, {.query_budget = 1});
+  net::RequestPipeline resolver_a(&tenant_a, {.depth = 0});
   SharedAccessGroup tenant_b(&backend_, shared_cache);
-  auto a = tenant_a.MakeView();
-  auto b = tenant_b.MakeView();
+  net::RequestPipeline resolver_b(&tenant_b, {.depth = 0});
+  auto a = tenant_a.MakeView(resolver_a);
+  auto b = tenant_b.MakeView(resolver_b);
   EXPECT_TRUE(a->Neighbors(0).ok());
   // A's own quota refuses its next NEW node...
   auto refused = a->Neighbors(1);
@@ -215,7 +317,8 @@ TEST_F(SharedAccessTest, AttributeForwardsToBackend) {
   ASSERT_TRUE(attrs.AddColumn("age", {1, 2, 3, 4, 5, 6, 7, 8}).ok());
   GraphAccess backend(&graph_, &attrs);
   SharedAccessGroup group(&backend);
-  auto view = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto view = group.MakeView(resolver);
   EXPECT_EQ(view->Attribute(2, 0).value(), 3.0);
   EXPECT_EQ(view->Attribute(99, 0).status().code(),
             util::StatusCode::kOutOfRange);

@@ -13,6 +13,7 @@
 #include "estimate/ensemble_runner.h"
 #include "estimate/walk_runner.h"
 #include "graph/generators.h"
+#include "net/request_pipeline.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -31,12 +32,13 @@ graph::Graph TestGraph() {
   return graph::MakeWattsStrogatz(/*n=*/600, /*k=*/6, /*beta=*/0.15, rng);
 }
 
-// Walks `steps` CNRW steps over a group with an attached store, returning
+// Walks `steps` CNRW steps over a group journaling into a store, returning
 // the trace. `budget` 0 = unlimited.
 estimate::TracedWalk CrawlOnce(const graph::Graph& graph,
                                access::SharedAccessGroup& group,
                                uint64_t seed, uint64_t steps) {
-  auto view = group.MakeView();
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto view = group.MakeView(resolver);
   auto walker =
       core::MakeWalker({.type = core::WalkerType::kCnrw}, view.get(), seed);
   EXPECT_TRUE(walker.ok());
@@ -60,10 +62,8 @@ TEST(HistoryStoreTest, JournalsSyncMissesAndRebuildsAcrossProcesses) {
         {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
     ASSERT_TRUE(store.ok()) << store.status();
     access::GraphAccess backend(&graph, nullptr);
-    access::SharedAccessGroup group(&backend, {});
-    group.set_history_journal(store->get());
+    access::SharedAccessGroup group(&backend, {.journal = store->get()});
     CrawlOnce(graph, group, /*seed=*/3, /*steps=*/800);
-    group.set_history_journal(nullptr);
     first_entries = group.cache().stats().entries;
     EXPECT_GT(first_entries, 0u);
     EXPECT_EQ((*store)->stats().appended_records, first_entries);
@@ -90,14 +90,13 @@ TEST(HistoryStoreTest, JournalsPipelineFetchesToo) {
       {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
   ASSERT_TRUE(store.ok()) << store.status();
   access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group(&backend, {.cache = {.num_shards = 8}});
-  group.set_history_journal(store->get());
-  auto run = estimate::RunEnsembleAsync(
-      group, {.type = core::WalkerType::kCnrw},
-      {.num_walkers = 4, .seed = 11, .max_steps = 200},
-      {.depth = 4, .max_batch = 8});
+  access::SharedAccessGroup group(
+      &backend, {.cache = {.num_shards = 8}, .journal = store->get()});
+  net::RequestPipeline pipeline(&group, {.depth = 4, .max_batch = 8});
+  auto run = estimate::RunEnsemble(
+      group, pipeline, {.type = core::WalkerType::kCnrw},
+      {.num_walkers = 4, .seed = 11, .max_steps = 200});
   ASSERT_TRUE(run.ok()) << run.status();
-  group.set_history_journal(nullptr);
 
   // Every entry the pipeline inserted was journaled exactly once.
   EXPECT_EQ((*store)->stats().appended_records, group.cache().stats().entries);
@@ -121,10 +120,8 @@ TEST(HistoryStoreTest, AutoCheckpointFoldsWalIntoSnapshot) {
                                    .checkpoint_wal_bytes = 2048});
   ASSERT_TRUE(store.ok()) << store.status();
   access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group(&backend, {});
-  group.set_history_journal(store->get());
+  access::SharedAccessGroup group(&backend, {.journal = store->get()});
   CrawlOnce(graph, group, /*seed=*/5, /*steps=*/1200);
-  group.set_history_journal(nullptr);
   (*store)->WaitForIdle();
 
   HistoryStoreStats stats = (*store)->stats();
@@ -159,10 +156,8 @@ TEST(HistoryStoreTest, InlineCheckpointStillFoldsOnTheInsertPath) {
                                    .background_checkpoint = false});
   ASSERT_TRUE(store.ok()) << store.status();
   access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group(&backend, {});
-  group.set_history_journal(store->get());
+  access::SharedAccessGroup group(&backend, {.journal = store->get()});
   CrawlOnce(graph, group, /*seed=*/5, /*steps=*/1200);
-  group.set_history_journal(nullptr);
 
   HistoryStoreStats stats = (*store)->stats();
   EXPECT_GT(stats.checkpoints, 0u);
@@ -195,10 +190,8 @@ TEST(HistoryStoreTest, InterruptedBackgroundFoldRecoversFromFoldSegment) {
         {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
     ASSERT_TRUE(store.ok());
     access::GraphAccess backend(&graph, nullptr);
-    access::SharedAccessGroup group(&backend, {});
-    group.set_history_journal(store->get());
+    access::SharedAccessGroup group(&backend, {.journal = store->get()});
     CrawlOnce(graph, group, /*seed=*/13, /*steps=*/400);
-    group.set_history_journal(nullptr);
     total_entries = group.cache().stats().entries;
   }
   ASSERT_EQ(std::rename(wal.c_str(), fold.c_str()), 0);
@@ -207,13 +200,11 @@ TEST(HistoryStoreTest, InterruptedBackgroundFoldRecoversFromFoldSegment) {
         {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
     ASSERT_TRUE(store.ok());
     access::GraphAccess backend(&graph, nullptr);
-    access::SharedAccessGroup group(&backend, {});
+    access::SharedAccessGroup group(&backend, {.journal = store->get()});
     // Pre-warm from the fold so the "post-rotation" crawl extends it the
     // way a real crashed process would have.
     ASSERT_TRUE((*store)->LoadInto(group.cache()).ok());
-    group.set_history_journal(store->get());
     CrawlOnce(graph, group, /*seed=*/14, /*steps=*/400);
-    group.set_history_journal(nullptr);
     total_entries = group.cache().stats().entries;
   }
 
@@ -246,14 +237,13 @@ TEST(HistoryStoreTest, BackgroundFoldLosesNothingUnderConcurrentInserts) {
                                    .checkpoint_wal_bytes = 4096});
   ASSERT_TRUE(store.ok());
   access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group(&backend, {.cache = {.num_shards = 8}});
-  group.set_history_journal(store->get());
-  auto run = estimate::RunEnsembleAsync(
-      group, {.type = core::WalkerType::kCnrw},
-      {.num_walkers = 4, .seed = 29, .max_steps = 400},
-      {.depth = 4, .max_batch = 8});
+  access::SharedAccessGroup group(
+      &backend, {.cache = {.num_shards = 8}, .journal = store->get()});
+  net::RequestPipeline pipeline(&group, {.depth = 4, .max_batch = 8});
+  auto run = estimate::RunEnsemble(
+      group, pipeline, {.type = core::WalkerType::kCnrw},
+      {.num_walkers = 4, .seed = 29, .max_steps = 400});
   ASSERT_TRUE(run.ok()) << run.status();
-  group.set_history_journal(nullptr);
   (*store)->WaitForIdle();
   EXPECT_GT((*store)->stats().checkpoints, 0u);
   EXPECT_TRUE((*store)->last_error().ok());
@@ -277,10 +267,8 @@ TEST(HistoryStoreTest, StaleWalOverSnapshotReplaysIdempotently) {
       {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
   ASSERT_TRUE(store.ok());
   access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group(&backend, {});
-  group.set_history_journal(store->get());
+  access::SharedAccessGroup group(&backend, {.journal = store->get()});
   CrawlOnce(graph, group, /*seed=*/9, /*steps=*/600);
-  group.set_history_journal(nullptr);
   // Snapshot the cache WITHOUT resetting the WAL (simulated crash window).
   ASSERT_TRUE(WriteSnapshot(group.cache(), snap).ok());
 
@@ -305,12 +293,10 @@ TEST(HistoryStoreTest, LoadSnapshotFalseSkipsSnapshotButReplaysWal) {
       {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
   ASSERT_TRUE(store.ok());
   access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group(&backend, {});
-  group.set_history_journal(store->get());
+  access::SharedAccessGroup group(&backend, {.journal = store->get()});
   CrawlOnce(graph, group, /*seed=*/4, /*steps=*/200);
   ASSERT_TRUE((*store)->Checkpoint(group.cache()).ok());
   CrawlOnce(graph, group, /*seed=*/6, /*steps=*/50);  // post-fold records
-  group.set_history_journal(nullptr);
   const uint64_t post_fold = (*store)->stats().wal_bytes;
   ASSERT_GT(post_fold, 8u);  // something landed after the reset
 
@@ -335,10 +321,9 @@ TEST(HistoryStoreTest, SnapshotOnlyStoreNeedsNoWal) {
   ASSERT_TRUE(store.ok());
 
   access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group(&backend, {});
-  group.set_history_journal(store->get());  // journaling is a no-op
+  // Journaling into a snapshot-only store is a no-op.
+  access::SharedAccessGroup group(&backend, {.journal = store->get()});
   CrawlOnce(graph, group, /*seed=*/2, /*steps=*/300);
-  group.set_history_journal(nullptr);
   EXPECT_EQ((*store)->stats().appended_records, 0u);
   ASSERT_TRUE((*store)->Checkpoint(group.cache()).ok());
 
@@ -367,10 +352,9 @@ TEST(HistoryStoreTest, ResumedCrawlMatchesUninterruptedTrace) {
         {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
     ASSERT_TRUE(store.ok());
     access::GraphAccess backend(&graph, nullptr);
-    access::SharedAccessGroup group(&backend, {.query_budget = kBudget});
-    group.set_history_journal(store->get());
+    access::SharedAccessGroup group(
+        &backend, {.query_budget = kBudget, .journal = store->get()});
     first = CrawlOnce(graph, group, kSeed, kMaxSteps);
-    group.set_history_journal(nullptr);
     EXPECT_TRUE(util::IsBudgetStop(first.final_status)) << first.final_status;
     EXPECT_EQ(group.charged_queries(), kBudget);
   }
