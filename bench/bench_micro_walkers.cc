@@ -87,6 +87,37 @@ void BM_CnrwHistoryGrowth(benchmark::State& state) {
 
 BENCHMARK(BM_CnrwHistoryGrowth)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// A fresh walk per iteration: construct a CNRW walker, take N steps,
+// destroy it. Unlike BM_WalkerStep, which reuses one walker whose history
+// has long stopped growing, every step here may add a circulation state,
+// and the teardown is timed too; with several threads, their allocator
+// traffic contends. Diagnostic only: rates use real time.
+void BM_CnrwFreshWalk(benchmark::State& state) {
+  const experiment::Dataset& dataset = FixtureDataset();
+  const uint64_t steps = static_cast<uint64_t>(state.range(0));
+  uint64_t seed = 1000 * static_cast<uint64_t>(state.thread_index());
+  for (auto _ : state) {
+    access::GraphAccess access(&dataset.graph, &dataset.attributes, {});
+    auto walker = core::MakeWalker({.type = core::WalkerType::kCnrw},
+                                   &access, ++seed);
+    if (!walker.ok() || !(*walker)->Reset(0).ok()) {
+      state.SkipWithError("walker setup failed");
+      return;
+    }
+    for (uint64_t i = 0; i < steps; ++i) {
+      auto next = (*walker)->Step();
+      benchmark::DoNotOptimize(next.ok());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(steps));
+}
+
+BENCHMARK(BM_CnrwFreshWalk)
+    ->Arg(10000)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -2,8 +2,8 @@
 #define HISTWALK_CORE_CIRCULATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -16,7 +16,7 @@
 // Drawing uniformly from N(v) - b(u, v) is realized here as an incremental
 // Fisher-Yates shuffle over a private copy of the candidate list: positions
 // [0, next) hold this round's already-drawn candidates, a uniform pick from
-// [next, end) is swapped into place and consumed. Each draw is O(1), each
+// [next, size) is swapped into place and consumed. Each draw is O(1), each
 // round enumerates every candidate exactly once, and a full round resets the
 // state — the "circulated" behaviour of section 3.1.
 //
@@ -29,46 +29,100 @@
 
 namespace histwalk::core {
 
-class CirculationState {
- public:
-  bool initialized() const { return !order_.empty(); }
-
-  // Stores the candidate list; must be called once before Draw.
-  void Init(std::span<const graph::NodeId> candidates);
-
-  // Uniform without-replacement draw; starts a fresh round automatically
-  // when all candidates have been consumed. Init must have been called with
-  // a non-empty list.
-  graph::NodeId Draw(util::Random& rng);
-
-  // Candidates not yet attempted in the current round (= |N(v) - b(u,v)|);
-  // a freshly initialized or just-reset state reports the full list size.
-  uint32_t remaining() const {
-    return static_cast<uint32_t>(order_.size()) - next_;
-  }
-
-  uint64_t MemoryBytes() const {
-    return order_.capacity() * sizeof(graph::NodeId) + sizeof(*this);
-  }
-
- private:
-  std::vector<graph::NodeId> order_;
-  uint32_t next_ = 0;
-};
-
 // Key for per-directed-edge history: the incoming transition u -> v.
 // The first transition of a walk has no incoming edge; kNoPrevious marks it.
 inline constexpr graph::NodeId kNoPrevious = graph::kInvalidNode;
 
-inline uint64_t EdgeKey(graph::NodeId prev, graph::NodeId cur) {
+constexpr uint64_t EdgeKey(graph::NodeId prev, graph::NodeId cur) {
   return (static_cast<uint64_t>(prev) << 32) | cur;
 }
 
-// History map used by CNRW / NB-CNRW / the node-based variant; exposed so
-// walkers can report their memory footprint.
-using CirculationMap = std::unordered_map<uint64_t, CirculationState>;
+// One walker's whole circulation history: key (an EdgeKey, or a node for
+// the node-keyed variant) => a without-replacement circulation over that
+// key's candidate list. A walk adds one state per distinct key it crosses
+// and never removes one until Reset, so the table is built for append-only
+// growth without a heap allocation per state:
+//
+//  * index   open addressing (power-of-two size, linear probing, load at
+//            most 1/2) from key to a position in `states`;
+//  * states  one flat array of {order, size, next};
+//  * pool    the candidate orders, carved from fixed 64 KiB chunks that
+//            never move, so a state's `order` pointer stays valid while the
+//            table grows. A list longer than a quarter chunk gets a block of
+//            its own; a shorter one that does not fit the current chunk's
+//            tail starts a new chunk (at most a quarter chunk is wasted).
+//
+// The footprint is the index and state arrays plus the sum of |N(v)| over
+// distinct keys, rounded up to whole chunks.
+class CirculationTable {
+ public:
+  static constexpr size_t kChunkBytes = 64 * 1024;
+  static constexpr uint32_t kChunkNodes = kChunkBytes / sizeof(graph::NodeId);
 
-uint64_t CirculationMapBytes(const CirculationMap& map);
+  // Uniform without-replacement draw from `key`'s circulation; starts a
+  // fresh round automatically when all candidates have been consumed. On
+  // the first draw for `key` the circulation is created over a copy of
+  // `candidates` in list order, leaving out every occurrence of `excluded`
+  // (kNoPrevious excludes nothing); later calls ignore both. The list left
+  // after exclusion must not be empty.
+  graph::NodeId Draw(uint64_t key, std::span<const graph::NodeId> candidates,
+                     util::Random& rng,
+                     graph::NodeId excluded = kNoPrevious);
+
+  bool Contains(uint64_t key) const { return Find(key) != kNoState; }
+
+  // Candidates of `key` not yet drawn in the current round
+  // (= |N(v) - b(u, v)|): the full list size for a new state, 0 once a
+  // round is complete (the next draw starts the new round), and 0 for a
+  // key the table does not hold.
+  uint32_t Remaining(uint64_t key) const;
+
+  // Number of keys (traversed edges) held.
+  size_t size() const { return states_.size(); }
+
+  // Drops every state and releases all memory.
+  void Reset();
+
+  // Bytes held: index, states and candidate pool (chunks and own blocks).
+  uint64_t MemoryBytes() const;
+
+  // Bytes of the candidate pool alone, and the number of blocks (chunks
+  // plus oversized lists' own blocks) it has allocated.
+  uint64_t pool_bytes() const { return pool_bytes_; }
+  size_t pool_blocks() const { return blocks_.size(); }
+
+ private:
+  struct State {
+    graph::NodeId* order;  // `size` candidates in the pool
+    uint32_t size;
+    uint32_t next;  // [0, next) drawn this round
+  };
+  struct Slot {
+    uint64_t key;
+    uint32_t state;  // index into states_; kNoState marks an empty slot
+  };
+  static constexpr uint32_t kNoState = UINT32_MAX;
+
+  uint32_t Find(uint64_t key) const;
+  // The state for `key`, created over `candidates` minus `excluded` when
+  // the table does not hold it yet.
+  State& FindOrAdd(uint64_t key, std::span<const graph::NodeId> candidates,
+                   graph::NodeId excluded);
+  uint32_t Home(uint64_t key) const {
+    return static_cast<uint32_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  void Grow();
+  // Room for exactly `n` candidates in the pool.
+  graph::NodeId* Carve(uint32_t n);
+
+  std::vector<Slot> index_;  // empty until the first state
+  uint32_t shift_ = 64;      // 64 - log2(index_.size())
+  std::vector<State> states_;
+  std::vector<std::unique_ptr<graph::NodeId[]>> blocks_;
+  graph::NodeId* chunk_ = nullptr;  // current chunk
+  uint32_t chunk_used_ = kChunkNodes;
+  uint64_t pool_bytes_ = 0;
+};
 
 }  // namespace histwalk::core
 

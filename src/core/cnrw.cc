@@ -5,8 +5,7 @@ namespace histwalk::core {
 util::Status CirculatedNeighborsWalk::Reset(graph::NodeId start) {
   HW_RETURN_IF_ERROR(Walker::Reset(start));
   previous_ = kNoPrevious;
-  // Swap with a fresh map (clear() would keep the bucket array alive).
-  CirculationMap().swap(history_);
+  history_.Reset();
   return util::Status::Ok();
 }
 
@@ -25,9 +24,7 @@ util::Result<graph::NodeId> CirculatedNeighborsWalk::Step() {
     // (Algorithm 1 starts from a given x0 -> x1).
     next = neighbors[rng_.UniformIndex(neighbors.size())];
   } else {
-    CirculationState& state = history_[EdgeKey(previous_, current_)];
-    if (!state.initialized()) state.Init(neighbors);
-    next = state.Draw(rng_);
+    next = history_.Draw(EdgeKey(previous_, current_), neighbors, rng_);
   }
   previous_ = current_;
   current_ = next;
@@ -43,16 +40,14 @@ util::Result<graph::NodeId> NodeCirculatedWalk::Step() {
     return util::Status::FailedPrecondition("walk reached isolated node");
   }
   // History keyed on the node alone (section 3.2's rejected alternative).
-  CirculationState& state = history_[current_];
-  if (!state.initialized()) state.Init(neighbors);
-  current_ = state.Draw(rng_);
+  current_ = history_.Draw(current_, neighbors, rng_);
   return current_;
 }
 
 util::Status NonBacktrackingCirculatedWalk::Reset(graph::NodeId start) {
   HW_RETURN_IF_ERROR(Walker::Reset(start));
   previous_ = kNoPrevious;
-  CirculationMap().swap(history_);
+  history_.Reset();
   return util::Status::Ok();
 }
 
@@ -71,17 +66,9 @@ util::Result<graph::NodeId> NonBacktrackingCirculatedWalk::Step() {
   } else if (neighbors.size() == 1) {
     next = neighbors[0];  // forced backtrack at a dead end
   } else {
-    CirculationState& state = history_[EdgeKey(previous_, current_)];
-    if (!state.initialized()) {
-      // Candidates are N(v) \ {u} — the NB-SRW support (section 5).
-      std::vector<graph::NodeId> candidates;
-      candidates.reserve(neighbors.size() - 1);
-      for (graph::NodeId w : neighbors) {
-        if (w != previous_) candidates.push_back(w);
-      }
-      state.Init(candidates);
-    }
-    next = state.Draw(rng_);
+    // Candidates are N(v) \ {u} — the NB-SRW support (section 5).
+    next = history_.Draw(EdgeKey(previous_, current_), neighbors, rng_,
+                         /*excluded=*/previous_);
   }
   previous_ = current_;
   current_ = next;

@@ -43,12 +43,12 @@ class CirculatedNeighborsWalk final : public Walker {
   util::Result<graph::NodeId> Step() override;
   std::string name() const override { return "CNRW"; }
   uint64_t HistoryBytes() const override {
-    return CirculationMapBytes(history_);
+    return history_.MemoryBytes();
   }
 
  private:
   graph::NodeId previous_ = kNoPrevious;
-  CirculationMap history_;  // (u -> v) => circulation over N(v)
+  CirculationTable history_;  // (u -> v) => circulation over N(v)
 };
 
 class NodeCirculatedWalk final : public Walker {
@@ -59,11 +59,11 @@ class NodeCirculatedWalk final : public Walker {
   util::Result<graph::NodeId> Step() override;
   std::string name() const override { return "CNRW-node"; }
   uint64_t HistoryBytes() const override {
-    return CirculationMapBytes(history_);
+    return history_.MemoryBytes();
   }
 
  private:
-  CirculationMap history_;  // v => circulation over N(v)
+  CirculationTable history_;  // v => circulation over N(v)
 };
 
 class NonBacktrackingCirculatedWalk final : public Walker {
@@ -75,12 +75,12 @@ class NonBacktrackingCirculatedWalk final : public Walker {
   util::Result<graph::NodeId> Step() override;
   std::string name() const override { return "NB-CNRW"; }
   uint64_t HistoryBytes() const override {
-    return CirculationMapBytes(history_);
+    return history_.MemoryBytes();
   }
 
  private:
   graph::NodeId previous_ = kNoPrevious;
-  CirculationMap history_;  // (u -> v) => circulation over N(v) \ {u}
+  CirculationTable history_;  // (u -> v) => circulation over N(v) \ {u}
 };
 
 }  // namespace histwalk::core

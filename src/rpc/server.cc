@@ -223,7 +223,10 @@ void Server::ServeConnection(Connection* conn) {
   conn->work_cv.notify_all();
   for (std::thread& worker : conn->workers) worker.join();
   ReapSessions(conn);
-  conn->stream.Close();
+  // Shut down, not close: Server::Shutdown may be calling ShutdownRead on
+  // this stream from another thread right now. The descriptor is released
+  // with the Connection, after this thread has been joined.
+  conn->stream.ShutdownBoth();
   std::lock_guard<std::mutex> lock(conn->mu);
   conn->finished = true;
 }

@@ -1,6 +1,7 @@
 #ifndef HISTWALK_UTIL_SOCKET_H_
 #define HISTWALK_UTIL_SOCKET_H_
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -171,6 +172,12 @@ class TcpStream {
     return Status::Ok();
   }
 
+  // Releases the descriptor. Only the owner may call it, and only once no
+  // other thread can still be inside a call on this stream: a close under a
+  // concurrent recv() both races on fd_ and lets the kernel hand the number
+  // to a new socket that the other thread then reads or shuts down. To wake
+  // such a thread, use ShutdownRead()/ShutdownBoth() and close after it has
+  // returned.
   void Close() {
     if (fd_ >= 0) {
       ::close(fd_);
@@ -184,20 +191,27 @@ class TcpStream {
 
 // A listening socket bound to 127.0.0.1. Accept() blocks; Shutdown() from
 // another thread wakes it with an error, which is how the telemetry
-// server's accept loop is told to exit.
+// server's accept loop is told to exit. Shutdown() never closes the
+// descriptor — the blocked thread may still be reading it — so the close
+// waits for the destructor (or a move-assignment over this listener), which
+// the owner reaches only after joining that thread.
 class TcpListener {
  public:
   TcpListener() = default;
-  ~TcpListener() { Shutdown(); }
+  ~TcpListener() { Close(); }
   TcpListener(TcpListener&& other) noexcept
-      : fd_(other.fd_), port_(other.port_) {
+      : fd_(other.fd_),
+        port_(other.port_),
+        shut_(other.shut_.load(std::memory_order_relaxed)) {
     other.fd_ = -1;
   }
   TcpListener& operator=(TcpListener&& other) noexcept {
     if (this != &other) {
-      Shutdown();
+      Close();
       fd_ = other.fd_;
       port_ = other.port_;
+      shut_.store(other.shut_.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
       other.fd_ = -1;
     }
     return *this;
@@ -259,6 +273,9 @@ class TcpListener {
   // Blocks for the next connection. After Shutdown() (from any thread)
   // the pending and all future Accepts return Unavailable.
   Result<TcpStream> Accept() {
+    if (shut_.load(std::memory_order_acquire)) {
+      return Status::Unavailable("accept: listener shut down");
+    }
     int client;
     do {
       client = ::accept(fd_, nullptr, nullptr);
@@ -270,20 +287,26 @@ class TcpListener {
     return TcpStream(client);
   }
 
-  // Wakes a blocked Accept and closes the listening socket. Idempotent.
-  // shutdown() before close() so a concurrently-blocked accept returns
-  // instead of the fd being silently reused under it.
+  // Stops listening and wakes a blocked Accept. Idempotent and safe from
+  // any thread: it only shuts the socket down and raises a flag; fd_ is
+  // neither written nor closed here (see the class comment).
   void Shutdown() {
-    if (fd_ >= 0) {
+    if (fd_ >= 0 && !shut_.exchange(true, std::memory_order_acq_rel)) {
       ::shutdown(fd_, SHUT_RDWR);
+    }
+  }
+
+ private:
+  void Close() {
+    if (fd_ >= 0) {
       ::close(fd_);
       fd_ = -1;
     }
   }
 
- private:
   int fd_ = -1;
   uint16_t port_ = 0;
+  std::atomic<bool> shut_{false};
 };
 
 }  // namespace histwalk::util

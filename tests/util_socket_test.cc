@@ -123,5 +123,56 @@ TEST(TcpListenerTest, ListenWithoutReuseAddrStillBinds) {
   EXPECT_GT(listener->port(), 0);
 }
 
+TEST(TcpListenerTest, ShutdownWakesBlockedAcceptWithoutClosingUnderIt) {
+  // The accept thread keeps reading the descriptor while another thread
+  // shuts the listener down; Shutdown must neither write nor close it
+  // (ThreadSanitizer runs this suite).
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  Status status = Status::Internal("not yet run");
+  std::thread acceptor([&] {
+    for (;;) {
+      auto accepted = listener->Accept();
+      if (!accepted.ok()) {
+        status = accepted.status();
+        return;
+      }
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  listener->Shutdown();
+  listener->Shutdown();  // idempotent
+  acceptor.join();
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status;
+  EXPECT_TRUE(listener->valid());  // closed only by the destructor
+}
+
+TEST(TcpListenerTest, AcceptAfterShutdownFailsAndNewConnectsAreRefused) {
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  const uint16_t port = listener->port();
+  listener->Shutdown();
+  EXPECT_EQ(listener->Accept().status().code(), StatusCode::kUnavailable);
+  auto stream = TcpStream::ConnectLocal(port);
+  EXPECT_FALSE(stream.ok());
+}
+
+TEST(TcpStreamTest, ShutdownBothWakesBlockedRecvOnTheOtherThread) {
+  // The owner wakes its reader, joins it, and only then closes: the
+  // sequence the rpc server and client use to tear a connection down.
+  LoopbackPair pair = MakePair();
+  Status status = Status::Internal("not yet run");
+  std::thread reader([&] {
+    char buf[4];
+    status = pair.server.RecvAll(buf, sizeof(buf));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  pair.server.ShutdownBoth();
+  reader.join();
+  pair.server.Close();
+  EXPECT_FALSE(pair.server.valid());
+  EXPECT_EQ(status.code(), StatusCode::kNotFound) << status;
+}
+
 }  // namespace
 }  // namespace histwalk::util

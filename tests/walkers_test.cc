@@ -273,13 +273,18 @@ TEST(CnrwTest, CirculationInvariantOnIrregularGraph) {
 TEST(CnrwTest, HistoryGrowsAndResetClearsIt) {
   graph::Graph g = graph::MakeComplete(6);
   GraphAccess access(&g, nullptr);
-  CirculatedNeighborsWalk walker(&access, 10);
-  ASSERT_TRUE(walker.Reset(0).ok());
-  uint64_t empty_bytes = walker.HistoryBytes();
-  for (int i = 0; i < 500; ++i) ASSERT_TRUE(walker.Step().ok());
-  EXPECT_GT(walker.HistoryBytes(), empty_bytes);
-  ASSERT_TRUE(walker.Reset(0).ok());
-  EXPECT_EQ(walker.HistoryBytes(), empty_bytes);
+  for (WalkerType type : {WalkerType::kCnrw, WalkerType::kNbCnrw}) {
+    WalkerSpec spec;
+    spec.type = type;
+    auto walker = MakeWalker(spec, &access, 10);
+    ASSERT_TRUE(walker.ok()) << walker.status();
+    ASSERT_TRUE((*walker)->Reset(0).ok());
+    uint64_t empty_bytes = (*walker)->HistoryBytes();
+    for (int i = 0; i < 500; ++i) ASSERT_TRUE((*walker)->Step().ok());
+    EXPECT_GT((*walker)->HistoryBytes(), empty_bytes) << (*walker)->name();
+    ASSERT_TRUE((*walker)->Reset(0).ok());
+    EXPECT_EQ((*walker)->HistoryBytes(), empty_bytes) << (*walker)->name();
+  }
 }
 
 TEST(CnrwTest, TwoNodeGraphAlternates) {
@@ -340,6 +345,71 @@ TEST(NbCnrwTest, NeverBacktracksAndCirculates) {
     std::set<NodeId> support(ns.begin(), ns.end());
     support.erase(edge.first);  // NB support excludes the incoming node
     ExpectCirculatedRounds(successors, support);
+  }
+}
+
+// FNV-1a over a walk's trace (node and degree per step). The walk is reset
+// to its start halfway through, so the digest also pins that Reset clears
+// the circulation history.
+uint64_t TraceDigest(Walker& walker, const graph::Graph& g, NodeId start,
+                     int steps) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  EXPECT_TRUE(walker.Reset(start).ok());
+  for (int i = 0; i < steps; ++i) {
+    if (i == steps / 2) {
+      EXPECT_TRUE(walker.Reset(start).ok());
+    }
+    auto next = walker.Step();
+    EXPECT_TRUE(next.ok()) << next.status();
+    if (!next.ok()) break;
+    mix(*next);
+    mix(g.Degree(*next));
+  }
+  return h;
+}
+
+// Walks recorded before the circulation history moved to a flat table.
+// Any change to how the CNRW family stores or draws its history must leave
+// every trace bit-identical: same candidates, same RNG calls, same swaps.
+TEST(CirculatedWalkersTest, TracesMatchPinnedDigests) {
+  util::Random graph_rng(2015);
+  graph::Graph g = graph::MakeSocialSurrogate(
+      graph::SocialSurrogateParams{.num_nodes = 3000}, graph_rng);
+  NodeId start = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.Degree(v) > g.Degree(start)) start = v;
+  }
+  GraphAccess access(&g, nullptr);
+  struct Pinned {
+    WalkerType type;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {WalkerType::kCnrw, 1, 0x85770f569e27645bull},
+      {WalkerType::kCnrw, 2, 0x73416ce856be5fcdull},
+      {WalkerType::kCnrw, 3, 0xfa474e806e1610c8ull},
+      {WalkerType::kCnrwNode, 1, 0x094b5da9783acca3ull},
+      {WalkerType::kCnrwNode, 2, 0xd7153480503b42ddull},
+      {WalkerType::kCnrwNode, 3, 0x23569f5c361f1768ull},
+      {WalkerType::kNbCnrw, 1, 0xb4fedc11a9fb6547ull},
+      {WalkerType::kNbCnrw, 2, 0xa80dbe91c06e40bdull},
+      {WalkerType::kNbCnrw, 3, 0xbd48abea04a862e6ull},
+  };
+  for (const Pinned& p : pinned) {
+    WalkerSpec spec;
+    spec.type = p.type;
+    auto walker = MakeWalker(spec, &access, p.seed);
+    ASSERT_TRUE(walker.ok()) << walker.status();
+    uint64_t digest = TraceDigest(**walker, g, start, 20000);
+    EXPECT_EQ(digest, p.digest) << (*walker)->name() << " seed " << p.seed
+                                << std::hex << " digest 0x" << digest;
   }
 }
 
