@@ -125,7 +125,8 @@ void BM_EnsembleCacheBounded(benchmark::State& state) {
 }
 
 BENCHMARK(BM_EnsembleCacheBounded)->Arg(0)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // ---- contended perf trajectory ---------------------------------------------
 

@@ -30,7 +30,8 @@ const experiment::Dataset& FixtureDataset() {
 }
 
 // Raw pipeline throughput: 8 submitter threads fetch random nodes through
-// one pipeline of `depth` workers over a latency-modelled remote backend.
+// one pipeline (at most `depth` batches in flight, carried by the blocked
+// submitters themselves) over a latency-modelled remote backend.
 // items_per_second is real time; sim_wall_s is what the model says the
 // same traffic costs on the wire at that depth.
 void BM_PipelineFetchThroughput(benchmark::State& state) {
@@ -73,7 +74,8 @@ void BM_PipelineFetchThroughput(benchmark::State& state) {
 }
 
 BENCHMARK(BM_PipelineFetchThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // End-to-end: an 8-walker CNRW async ensemble per depth, assembled through
 // the api/ facade. Traces are bit-identical across rows (the runner's
@@ -119,7 +121,8 @@ void BM_AsyncEnsembleDepth(benchmark::State& state) {
 }
 
 BENCHMARK(BM_AsyncEnsembleDepth)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The same crawl under a Twitter-grade quota (15 calls / 15 min): batching
 // spends one token per REQUEST, so larger batches stretch the same budget

@@ -24,9 +24,9 @@
 //     --num-shards=N     clock shards in the history cache (default 8;
 //                        powers of two dispatch with a mask instead of a
 //                        divide)                   -> WithCache
-//     --threads=N        ParallelFor workers for in-memory runs (default
-//                        1; ignored by --latency-us runs, whose
-//                        concurrency is the walker count). The printed
+//     --threads=N        stepper threads for in-memory runs (default
+//                        1; ignored by --latency-us runs, which step
+//                        on one stepper per core). The printed
 //                        output and --trace-out bytes are identical for
 //                        any value — scripts/trace_demo.sh pins it.
 //     --connect=HOST:PORT  run the crawl on a histwalk_serviced daemon
@@ -572,7 +572,7 @@ int main(int argc, char** argv) {
                  "  --connect=HOST:PORT run the crawl on a histwalk_serviced "
                  "daemon (walk, cache\n                and estimand live "
                  "daemon-side; --budget becomes the tenant budget)\n\n"
-                 "  --threads=N   ParallelFor workers for in-memory runs "
+                 "  --threads=N   stepper threads for in-memory runs "
                  "(default 1; output is\n                identical for any "
                  "value)\n"
                  "  --metrics-out=F  write a post-crawl scrape "

@@ -28,7 +28,7 @@ class HistoryJournal {
   // is authoritative, the journal trails it. `cache` is the cache the entry
   // landed in, handed through so checkpoint-style implementations can fold
   // it into a snapshot without holding their own pointer. Must be
-  // thread-safe: concurrent walkers and pipeline workers insert
+  // thread-safe: the threads carrying pipeline batches insert
   // concurrently. Must not call back into the access layer's miss paths.
   virtual void OnCacheInsert(graph::NodeId v,
                              std::span<const graph::NodeId> neighbors,

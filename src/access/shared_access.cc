@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "access/async_fetcher.h"
 #include "access/history_journal.h"
 #include "access/history_tier.h"
 #include "util/check.h"
@@ -151,14 +150,48 @@ void SharedAccess::AccountServed(graph::NodeId v) {
   }
 }
 
+util::Result<HistoryCache::Entry> SharedAccess::TakeFetched(
+    graph::NodeId v, util::Result<AsyncFetcher::Fetched> fetched,
+    uint64_t miss_start_us) {
+  const GroupObsCounters& obs = group_->obs_;
+  if (!fetched.ok()) {
+    if (fetched.status().code() == util::StatusCode::kBudgetExhausted) {
+      RecordMiss(v, obs.budget_refusals, "refused",
+                 obs::FlightEventKind::kBudgetRefusal, miss_start_us);
+    } else {
+      RecordMiss(v, obs.fetch_errors, "error", obs::FlightEventKind::kError,
+                 miss_start_us);
+    }
+    return fetched.status();
+  }
+  if (fetched->charged_this_call) {
+    ++charged_fetches_;
+    RecordMiss(v, obs.wire_fetches, "wire", obs::FlightEventKind::kWireFetch,
+               miss_start_us);
+  } else {
+    RecordMiss(v, obs.singleflight_joins, "join",
+               obs::FlightEventKind::kSingleflightJoin, miss_start_us);
+  }
+  return std::move(fetched->entry);
+}
+
 util::Result<std::span<const graph::NodeId>> SharedAccess::Neighbors(
     graph::NodeId v) {
   if (v >= num_nodes()) {
     return util::Status::OutOfRange("unknown node id");
   }
   const GroupObsCounters& obs = group_->obs_;
-  HistoryCache::Entry entry = group_->cache_->Get(v);
-  if (entry != nullptr) {
+  HistoryCache::Entry entry;
+  if (parked_on_ != graph::kInvalidNode) {
+    // The re-run of a parked step asks for the same node and takes the
+    // landed outcome instead of probing the cache again.
+    HW_CHECK(v == parked_on_ && landed_.has_value());
+    parked_on_ = graph::kInvalidNode;
+    auto taken = TakeFetched(v, *std::move(landed_), parked_start_us_);
+    landed_.reset();
+    if (!taken.ok()) return taken.status();
+    entry = *std::move(taken);
+  } else if ((entry = group_->cache_->Get(v)) != nullptr) {
     obs.cache_hits->Inc();
     HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
                           ProbeArgs(*group_->cache_, v, "hit"));
@@ -181,26 +214,21 @@ util::Result<std::span<const graph::NodeId>> SharedAccess::Neighbors(
       // The resolver deduplicates this fetch with the other walkers'
       // outstanding misses (singleflight) and charges the budget once per
       // wire fetch.
-      auto fetched = resolver_->FetchShared(v);
-      if (!fetched.ok()) {
-        if (fetched.status().code() == util::StatusCode::kBudgetExhausted) {
-          RecordMiss(v, obs.budget_refusals, "refused",
-                     obs::FlightEventKind::kBudgetRefusal, miss_start_us);
-        } else {
-          RecordMiss(v, obs.fetch_errors, "error",
-                     obs::FlightEventKind::kError, miss_start_us);
-        }
-        return fetched.status();
-      }
-      entry = std::move(fetched->entry);
-      if (fetched->charged_this_call) {
-        ++charged_fetches_;
-        RecordMiss(v, obs.wire_fetches, "wire",
-                   obs::FlightEventKind::kWireFetch, miss_start_us);
+      std::optional<util::Result<AsyncFetcher::Fetched>> fetched;
+      if (waiter_ == nullptr) {
+        fetched.emplace(resolver_->FetchShared(v));
       } else {
-        RecordMiss(v, obs.singleflight_joins, "join",
-                   obs::FlightEventKind::kSingleflightJoin, miss_start_us);
+        // Mark the park BEFORE submitting: the fetch may land, and Land()
+        // run on another thread, before FetchOrPark returns.
+        parked_on_ = v;
+        parked_start_us_ = miss_start_us;
+        fetched = resolver_->FetchOrPark(v, waiter_);
+        if (!fetched.has_value()) return util::Status::Parked();
+        parked_on_ = graph::kInvalidNode;
       }
+      auto taken = TakeFetched(v, *std::move(fetched), miss_start_us);
+      if (!taken.ok()) return taken.status();
+      entry = *std::move(taken);
     }
   }
   AccountServed(v);
@@ -230,6 +258,9 @@ void SharedAccess::ResetAccounting() {
   queried_.assign(group_->backend()->num_nodes(), false);
   charged_fetches_ = 0;
   for (auto& handle : retained_) handle.reset();
+  // A parked miss belongs to a step in progress; accounting resets happen
+  // between walks, never inside one.
+  HW_CHECK(parked_on_ == graph::kInvalidNode);
 }
 
 }  // namespace histwalk::access

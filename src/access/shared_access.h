@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
+#include "access/async_fetcher.h"
 #include "access/backend.h"
 #include "access/history_cache.h"
 #include "access/node_access.h"
@@ -47,16 +49,24 @@
 // estimate/ensemble_runner.h for the deterministic per-walker alternative).
 //
 // Concurrency notes: views are NOT thread-safe individually (one view per
-// walker per thread); the group and cache are. Every view resolves its
-// cache misses through one resolver (an AsyncFetcher, in practice a
-// net::RequestPipeline at depth 0 or D), which deduplicates concurrent
-// misses on one node into a single fetch (singleflight): N walkers missing
-// the same node at the same instant pay one charge, so with a cache that
-// never evicts the group's bill is a function of the walks alone.
+// walker, used by one thread at a time); the group and cache are. Every
+// view resolves its cache misses through one resolver (an AsyncFetcher, in
+// practice a net::RequestPipeline at depth 0 or D), which deduplicates
+// concurrent misses on one node into a single fetch (singleflight): N
+// walkers missing the same node at the same instant pay one charge, so
+// with a cache that never evicts the group's bill is a function of the
+// walks alone.
+//
+// Parking: a view given a FetchWaiter (set_waiter, done by the step
+// scheduler) never blocks on a miss. When the resolver cannot answer at
+// once, Neighbors returns util::Status::Parked() and the walker's step
+// unwinds; the fetch's outcome arrives through Land(), and the re-run of
+// the step takes the landed entry for the same node without probing the
+// cache again. The miss is counted once, when it is first seen, and its
+// outcome once, when the landed entry is taken.
 
 namespace histwalk::access {
 
-class AsyncFetcher;
 class HistoryJournal;
 class HistoryTier;
 class SharedAccess;
@@ -125,7 +135,7 @@ class SharedAccessGroup {
 
   // Mints a per-walker view whose cache misses resolve through `resolver`
   // (which must outlive the view). Thread-safe, though views are
-  // typically created up front and handed one per worker thread.
+  // typically created up front, one per walker.
   std::unique_ptr<SharedAccess> MakeView(AsyncFetcher& resolver);
 
   const AccessBackend* backend() const { return backend_; }
@@ -232,7 +242,23 @@ class SharedAccess final : public NodeAccess {
     trace_track_ = track;
   }
 
+  // Misses the resolver cannot answer at once park on `waiter` (null: they
+  // block in FetchShared). Set between, not during, Neighbors() calls.
+  void set_waiter(FetchWaiter* waiter) { waiter_ = waiter; }
+
+  // Hands the parked miss its outcome; the next Neighbors() call — the
+  // re-run of the parked step, for the same node — takes it. Called from
+  // the waiter's OnFetched, on the thread that completed the fetch.
+  void Land(util::Result<AsyncFetcher::Fetched> fetched) {
+    landed_.emplace(std::move(fetched));
+  }
+
  private:
+  // Attributes the resolver's outcome for the miss on `v` and returns its
+  // entry (or the error that refused it).
+  util::Result<HistoryCache::Entry> TakeFetched(
+      graph::NodeId v, util::Result<AsyncFetcher::Fetched> fetched,
+      uint64_t miss_start_us);
   void AccountServed(graph::NodeId v);
   // Attributes one cache miss to its outcome: bumps `counter`, emits the
   // `result` probe instant and records a `kind` flight event.
@@ -247,6 +273,12 @@ class SharedAccess final : public NodeAccess {
   QueryStats stats_;
   std::vector<bool> queried_;  // nodes THIS view has asked for
   uint64_t charged_fetches_ = 0;
+  // The parked miss, if any: its node, its flight-recorder start stamp and,
+  // once the fetch completed, its outcome.
+  FetchWaiter* waiter_ = nullptr;
+  graph::NodeId parked_on_ = graph::kInvalidNode;
+  uint64_t parked_start_us_ = 0;
+  std::optional<util::Result<AsyncFetcher::Fetched>> landed_;
   // Handles to recently returned responses: keeps their spans valid even if
   // the shared cache evicts the entries mid-step (one neighbor list is live
   // per walker step; two gives margin).

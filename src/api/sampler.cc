@@ -396,7 +396,7 @@ SamplerBuilder& SamplerBuilder::RunPipelined(
     net::RequestPipelineOptions pipeline) {
   mode_ = ExecutionMode::kPipelined;
   pipeline_ = pipeline;
-  run_threads_ = 0;  // one per walker
+  run_threads_ = 0;  // one stepper per core
   return *this;
 }
 
@@ -552,7 +552,6 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
 
   std::unique_ptr<Sampler> sampler(new Sampler());
   sampler->mode_ = mode_;
-  sampler->run_threads_ = run_threads_;
   sampler->pipeline_ = pipeline_;
   sampler->defaults_ = defaults_;
   sampler->estimand_ = estimand_;
@@ -677,6 +676,9 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
         sampler->warm_start_status_ = tier_load;
       }
     }
+    // One step pool for all of the sampler's runs: RunInline(n) steppers,
+    // or one per core in pipelined mode (a parked walker holds none).
+    sampler->pool_ = std::make_unique<estimate::StepPool>(run_threads_);
   }
 
   if (has_obs_) {
@@ -791,14 +793,14 @@ util::Result<RunHandle> Sampler::RunThreaded(const RunOptions& options) {
                                        .seed = options.seed,
                                        .max_steps = options.max_steps,
                                        .query_budget = options.query_budget,
-                                       .num_threads = run_threads_,
                                        .tracer = obs_.tracer,
                                        .progress = shared->progress.get()};
     // The run's miss resolver: at depth 0 (inline) each fetch runs on the
-    // missing walker's thread, at depth D (pipelined) on D workers.
+    // missing walker's stepper; at depth D (pipelined) the walker parks and
+    // idle steppers carry up to D batches at once.
     net::RequestPipeline pipeline(group_.get(), pipeline_);
-    auto run =
-        estimate::RunEnsemble(*group_, pipeline, options.walker, ensemble);
+    auto run = estimate::RunEnsemble(*group_, pipeline, options.walker,
+                                     ensemble, *pool_);
     if (run.ok()) run->pipeline_stats = pipeline.stats();
     // Freeze the tracker's bill/clock at run end: the handle (and later
     // scrapes) keep reading the tracker, but this run's accounting is

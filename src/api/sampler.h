@@ -80,11 +80,13 @@ namespace histwalk::api {
 // traces; they differ in who carries the wire requests and how many runs
 // can be in flight.
 enum class ExecutionMode {
-  // A per-run pipeline at depth 0: each miss is fetched on the missing
-  // walker's own thread; concurrent misses on one node join its flight.
+  // A per-run pipeline at depth 0: each miss is fetched on the stepper
+  // running the missing walker; concurrent misses on one node park on its
+  // flight.
   kInline,
-  // A per-run pipeline at depth D: misses are batched per cache shard and
-  // carried by D workers, at most D requests in flight.
+  // A per-run pipeline at depth D: a missing walker parks, misses are
+  // batched per cache shard and carried by idle steppers, at most D
+  // batches in flight.
   kPipelined,
   // service::SamplingService: each Run() is a tenant session over one
   // shared cache and one fair-scheduled multi-tenant pipeline; runs may
@@ -359,11 +361,13 @@ class SamplerBuilder {
   SamplerBuilder& WithTelemetryServer(uint16_t port);
 
   // ---- execution mode -------------------------------------------------
-  // Inline runs resolve misses through a depth-0 pipeline on `num_threads`
-  // walker threads (0 = hardware concurrency).
+  // Inline runs resolve misses through a depth-0 pipeline, with the
+  // walkers multiplexed on `num_threads` stepper threads (0 = hardware
+  // concurrency).
   SamplerBuilder& RunInline(unsigned num_threads = 0);
-  // Pipelined runs use one thread per walker over a pipeline of `pipeline`
-  // options.
+  // Pipelined runs multiplex the walkers on one stepper per core over a
+  // pipeline of `pipeline` options: a missing walker parks, and idle
+  // steppers carry the queued batches.
   SamplerBuilder& RunPipelined(net::RequestPipelineOptions pipeline = {});
   SamplerBuilder& RunAsService(ServiceConfig service = {});
   // Execute runs on a histwalk_serviced daemon at `endpoint` ("host:port",
@@ -417,8 +421,8 @@ class SamplerBuilder {
   bool store_read_tier_ = false;
   bool has_obs_ = false;
   ObservabilityOptions obs_;
-  // The execution mode's per-run pipeline and walker threads
-  // (estimate::EnsembleOptions::num_threads); defaults are RunInline().
+  // The execution mode's per-run pipeline and the sampler's stepper
+  // threads (0 = hardware concurrency); defaults are RunInline().
   ExecutionMode mode_ = ExecutionMode::kInline;
   net::RequestPipelineOptions pipeline_{.depth = 0};
   unsigned run_threads_ = std::thread::hardware_concurrency();
@@ -520,9 +524,8 @@ class Sampler {
   std::string RunsJson() const;
 
   ExecutionMode mode_ = ExecutionMode::kInline;
-  // Thread modes: each run's pipeline options and walker threads.
+  // Thread modes: each run's pipeline options.
   net::RequestPipelineOptions pipeline_;
-  unsigned run_threads_ = 0;
   RunOptions defaults_;
   EstimandSelection estimand_;
   double confidence_ = 0.95;
@@ -545,6 +548,8 @@ class Sampler {
   std::unique_ptr<access::CacheTier> store_tier_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<access::SharedAccessGroup> group_;
+  // Thread modes: the steppers every run's walkers are multiplexed on.
+  std::unique_ptr<estimate::StepPool> pool_;
   std::unique_ptr<service::SamplingService> service_;
   // Remote mode: the dialed daemon connection, shared with every run
   // handle (so cached reads survive the Sampler).

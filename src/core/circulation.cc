@@ -2,11 +2,66 @@
 
 #include <algorithm>
 #include <bit>
+#include <mutex>
 #include <utility>
+
+#include <sys/mman.h>
 
 #include "util/check.h"
 
 namespace histwalk::core {
+
+namespace {
+
+// The process-wide free list of released chunks.
+class ChunkRecycler {
+ public:
+  // Never destroyed: tables may release chunks during static destruction.
+  static ChunkRecycler& Get() {
+    static ChunkRecycler* recycler = new ChunkRecycler();
+    return *recycler;
+  }
+
+  graph::NodeId* Take() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        graph::NodeId* chunk = free_.back();
+        free_.pop_back();
+        return chunk;
+      }
+    }
+    // Mapped, not malloc'd: a chunk never sits in (and pins) a malloc
+    // arena between long-lived cache entries. Recycling keeps the page
+    // faults of a fresh mapping to the first use of each chunk.
+    void* chunk = mmap(nullptr, CirculationTable::kChunkBytes,
+                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
+    HW_CHECK_MSG(chunk != MAP_FAILED, "mapping a history chunk failed");
+    return static_cast<graph::NodeId*>(chunk);
+  }
+
+  void Give(graph::NodeId* chunk) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (free_.size() < CirculationTable::kRecycledChunks) {
+        free_.push_back(chunk);
+        return;
+      }
+    }
+    munmap(chunk, CirculationTable::kChunkBytes);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<graph::NodeId*> free_;
+};
+
+}  // namespace
+
+void CirculationTable::RecycleChunk::operator()(graph::NodeId* chunk) const {
+  ChunkRecycler::Get().Give(chunk);
+}
 
 graph::NodeId CirculationTable::Draw(uint64_t key,
                                      std::span<const graph::NodeId> candidates,
@@ -71,10 +126,9 @@ graph::NodeId* CirculationTable::Carve(uint32_t n) {
     return blocks_.back().get();
   }
   if (kChunkNodes - chunk_used_ < n) {
-    blocks_.push_back(
-        std::make_unique_for_overwrite<graph::NodeId[]>(kChunkNodes));
+    chunks_.emplace_back(ChunkRecycler::Get().Take());
     pool_bytes_ += kChunkBytes;
-    chunk_ = blocks_.back().get();
+    chunk_ = chunks_.back().get();
     chunk_used_ = 0;
   }
   graph::NodeId* room = chunk_ + chunk_used_;
@@ -93,6 +147,7 @@ void CirculationTable::Reset() { *this = CirculationTable(); }
 uint64_t CirculationTable::MemoryBytes() const {
   return sizeof(*this) + index_.capacity() * sizeof(Slot) +
          states_.capacity() * sizeof(State) +
+         chunks_.capacity() * sizeof(chunks_[0]) +
          blocks_.capacity() * sizeof(blocks_[0]) + pool_bytes_;
 }
 

@@ -51,6 +51,14 @@ constexpr uint64_t EdgeKey(graph::NodeId prev, graph::NodeId cur) {
 //            table grows. A list longer than a quarter chunk gets a block of
 //            its own; a shorter one that does not fit the current chunk's
 //            tail starts a new chunk (at most a quarter chunk is wasted).
+//            Chunks are mapped pages, not malloc memory, and released
+//            ones are recycled process-wide (up to kRecycledChunks of
+//            them) rather than unmapped: walkers run on a few long-lived
+//            stepper threads that also allocate long-lived cache entries,
+//            and chunks in those threads' malloc arenas would strand
+//            memory between the entries. Recycling keeps the chunk
+//            footprint at the peak live walkers' need and pays a fresh
+//            mapping's page faults once per chunk, not once per walker.
 //
 // The footprint is the index and state arrays plus the sum of |N(v)| over
 // distinct keys, rounded up to whole chunks.
@@ -58,6 +66,8 @@ class CirculationTable {
  public:
   static constexpr size_t kChunkBytes = 64 * 1024;
   static constexpr uint32_t kChunkNodes = kChunkBytes / sizeof(graph::NodeId);
+  // Released chunks kept for reuse (64 MiB); beyond that they are unmapped.
+  static constexpr size_t kRecycledChunks = 1024;
 
   // Uniform without-replacement draw from `key`'s circulation; starts a
   // fresh round automatically when all candidates have been consumed. On
@@ -80,7 +90,7 @@ class CirculationTable {
   // Number of keys (traversed edges) held.
   size_t size() const { return states_.size(); }
 
-  // Drops every state and releases all memory.
+  // Drops every state and releases all memory (chunks to the recycler).
   void Reset();
 
   // Bytes held: index, states and candidate pool (chunks and own blocks).
@@ -89,7 +99,7 @@ class CirculationTable {
   // Bytes of the candidate pool alone, and the number of blocks (chunks
   // plus oversized lists' own blocks) it has allocated.
   uint64_t pool_bytes() const { return pool_bytes_; }
-  size_t pool_blocks() const { return blocks_.size(); }
+  size_t pool_blocks() const { return chunks_.size() + blocks_.size(); }
 
  private:
   struct State {
@@ -102,6 +112,10 @@ class CirculationTable {
     uint32_t state;  // index into states_; kNoState marks an empty slot
   };
   static constexpr uint32_t kNoState = UINT32_MAX;
+  // Hands a released chunk to the recycler instead of freeing it.
+  struct RecycleChunk {
+    void operator()(graph::NodeId* chunk) const;
+  };
 
   uint32_t Find(uint64_t key) const;
   // The state for `key`, created over `candidates` minus `excluded` when
@@ -118,7 +132,8 @@ class CirculationTable {
   std::vector<Slot> index_;  // empty until the first state
   uint32_t shift_ = 64;      // 64 - log2(index_.size())
   std::vector<State> states_;
-  std::vector<std::unique_ptr<graph::NodeId[]>> blocks_;
+  std::vector<std::unique_ptr<graph::NodeId[], RecycleChunk>> chunks_;
+  std::vector<std::unique_ptr<graph::NodeId[]>> blocks_;  // oversized lists
   graph::NodeId* chunk_ = nullptr;  // current chunk
   uint32_t chunk_used_ = kChunkNodes;
   uint64_t pool_bytes_ = 0;

@@ -31,6 +31,12 @@ util::Result<graph::NodeId> CirculatedNeighborsWalk::Step() {
   return current_;
 }
 
+util::Status NodeCirculatedWalk::Reset(graph::NodeId start) {
+  HW_RETURN_IF_ERROR(Walker::Reset(start));
+  history_.Reset();
+  return util::Status::Ok();
+}
+
 util::Result<graph::NodeId> NodeCirculatedWalk::Step() {
   if (current_ == graph::kInvalidNode) {
     return util::Status::FailedPrecondition("walker not reset");

@@ -56,6 +56,7 @@ class NodeCirculatedWalk final : public Walker {
   NodeCirculatedWalk(access::NodeAccess* access, uint64_t seed)
       : Walker(access, seed) {}
 
+  util::Status Reset(graph::NodeId start) override;
   util::Result<graph::NodeId> Step() override;
   std::string name() const override { return "CNRW-node"; }
   uint64_t HistoryBytes() const override {

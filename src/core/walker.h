@@ -43,6 +43,15 @@ class Walker {
   // Performs one transition and returns the node the walk is at afterwards.
   // MHRW may remain in place (a rejected proposal is still a sample).
   // On error (exhausted budget, unknown node) the position is unchanged.
+  //
+  // Parking invariant, which every implementation must keep: a step makes
+  // exactly one neighbor query, Neighbors(current()), and makes it FIRST —
+  // before any RNG draw or state change. When that query parks on a
+  // pending fetch (util::IsParked), Step returns the parked status with
+  // nothing consumed, and calling Step again once the fetch landed takes
+  // the identical step. The step scheduler (estimate::StepPool) relies on
+  // this to unwind parked walkers instead of blocking a thread on them;
+  // tests/walker_parking_test.cc checks it for every walker type.
   virtual util::Result<graph::NodeId> Step() = 0;
 
   // Current node, or graph::kInvalidNode before the first Reset().

@@ -1,6 +1,10 @@
 #include "estimate/ensemble_runner.h"
 
-#include "util/parallel.h"
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <thread>
+
 #include "util/random.h"
 
 namespace histwalk::estimate {
@@ -29,10 +33,77 @@ MergedSamples EnsembleResult::Merged() const {
   return merged;
 }
 
+namespace {
+
+// One walker of a run as a StepPool task: Reset, then WalkTrace steps until
+// done, parking whenever its view's miss has to wait for the resolver.
+class WalkerTask final : public StepPool::Task {
+ public:
+  WalkerTask(core::EnsembleMember& member, graph::NodeId start,
+             const RunOptions& run, TracedWalk* out)
+      : member_(member),
+        out_(out),
+        progress_(run.progress),
+        progress_walker_(run.progress_walker) {
+    member_.access->set_waiter(this);
+    reset_ = member_.walker->Reset(start);
+    // Built here, on the run's own thread, so the trace's buffers stay out
+    // of the steppers' malloc arenas (which hold long-lived cache entries).
+    if (reset_.ok()) walk_.emplace(*member_.walker, run);
+  }
+  ~WalkerTask() override { member_.access->set_waiter(nullptr); }
+
+  bool Run() override {
+    if (!reset_.ok()) {
+      out_->final_status = reset_;
+      return Finish();
+    }
+    while (!walk_->Done()) {
+      if (!walk_->TakeStep()) return false;  // parked
+    }
+    *out_ = std::move(*walk_).Take();
+    return Finish();
+  }
+
+  void OnFetched(util::Result<access::AsyncFetcher::Fetched> fetched) override {
+    member_.access->Land(std::move(fetched));
+    Resume();
+  }
+
+ private:
+  bool Finish() {
+    if (progress_ != nullptr) progress_->FinishWalker(progress_walker_);
+    return true;
+  }
+
+  core::EnsembleMember& member_;
+  TracedWalk* out_;
+  obs::ProgressTracker* progress_;
+  uint32_t progress_walker_;
+  util::Status reset_;
+  std::optional<WalkTrace> walk_;
+};
+
+}  // namespace
+
 util::Result<EnsembleResult> RunEnsemble(access::SharedAccessGroup& group,
                                          access::AsyncFetcher& resolver,
                                          const core::WalkerSpec& spec,
                                          const EnsembleOptions& options) {
+  unsigned steppers = options.num_threads;
+  if (steppers == 0) {
+    steppers = std::min(std::max(1u, std::thread::hardware_concurrency()),
+                        std::max(1u, options.num_walkers));
+  }
+  StepPool pool(steppers);
+  return RunEnsemble(group, resolver, spec, options, pool);
+}
+
+util::Result<EnsembleResult> RunEnsemble(access::SharedAccessGroup& group,
+                                         access::AsyncFetcher& resolver,
+                                         const core::WalkerSpec& spec,
+                                         const EnsembleOptions& options,
+                                         StepPool& pool) {
   if (options.num_walkers == 0) {
     return util::Status::InvalidArgument("ensemble needs at least one walker");
   }
@@ -61,9 +132,8 @@ util::Result<EnsembleResult> RunEnsemble(access::SharedAccessGroup& group,
   }
   result.traces.resize(options.num_walkers);
 
-  // Per-walker trace tracks, registered serially BEFORE the parallel
-  // section so track ids are a function of walker index, never of
-  // scheduling.
+  // Per-walker trace tracks, registered serially BEFORE the walkers start
+  // so track ids are a function of walker index, never of scheduling.
   std::vector<uint32_t> trace_tracks(options.num_walkers, 0);
   if (options.tracer != nullptr) {
     for (uint32_t i = 0; i < options.num_walkers; ++i) {
@@ -76,31 +146,25 @@ util::Result<EnsembleResult> RunEnsemble(access::SharedAccessGroup& group,
   const uint64_t charged_before = group.charged_queries();
   const access::HistoryCacheStats cache_before = group.cache().stats();
 
-  util::ParallelFor(
-      options.num_walkers,
-      [&](size_t i) {
-        core::EnsembleMember& member = members[i];
-        util::Status reset = member.walker->Reset(result.starts[i]);
-        if (!reset.ok()) {
-          result.traces[i].final_status = reset;
-          if (options.progress != nullptr) {
-            options.progress->FinishWalker(static_cast<uint32_t>(i));
-          }
-          return;
-        }
-        result.traces[i] = TraceWalk(
-            *member.walker,
-            {.max_steps = options.max_steps,
-             .query_budget = options.query_budget,
-             .tracer = options.tracer,
-             .trace_track = trace_tracks[i],
-             .progress = options.progress,
-             .progress_walker = static_cast<uint32_t>(i)});
-        if (options.progress != nullptr) {
-          options.progress->FinishWalker(static_cast<uint32_t>(i));
-        }
-      },
-      options.num_threads == 0 ? options.num_walkers : options.num_threads);
+  {
+    std::vector<std::unique_ptr<WalkerTask>> tasks;
+    std::vector<StepPool::Task*> runnable;
+    tasks.reserve(options.num_walkers);
+    runnable.reserve(options.num_walkers);
+    for (uint32_t i = 0; i < options.num_walkers; ++i) {
+      tasks.push_back(std::make_unique<WalkerTask>(
+          members[i], result.starts[i],
+          RunOptions{.max_steps = options.max_steps,
+                     .query_budget = options.query_budget,
+                     .tracer = options.tracer,
+                     .trace_track = trace_tracks[i],
+                     .progress = options.progress,
+                     .progress_walker = i},
+          &result.traces[i]));
+      runnable.push_back(tasks.back().get());
+    }
+    pool.Run(runnable, &resolver);
+  }
 
   uint64_t private_bytes = 0;
   result.walker_stats.reserve(options.num_walkers);

@@ -6,18 +6,20 @@
 
 #include "access/shared_access.h"
 #include "core/walker_factory.h"
+#include "estimate/step_pool.h"
 #include "estimate/walk_runner.h"
 #include "net/request_pipeline.h"
 
 // Concurrent walker ensembles over shared history.
 //
-// RunEnsemble drives N independent walkers in parallel (util::ParallelFor),
-// all drawing from one SharedAccessGroup: one backend, one bounded
-// HistoryCache, one service-billed query counter. Cache misses resolve
-// through the run's resolver — a net::RequestPipeline at depth 0 (inline:
-// each fetch on the missing walker's thread) or depth D (pipelined), or a
-// service's per-tenant adapter — which collapses concurrent misses on one
-// node into one fetch. Walker i's RNG and start node derive from
+// RunEnsemble drives N independent walkers on a step pool (StepPool: a few
+// stepper threads multiplexing resumable walkers), all drawing from one
+// SharedAccessGroup: one backend, one bounded HistoryCache, one
+// service-billed query counter. Cache misses resolve through the run's
+// resolver — a net::RequestPipeline at depth 0 (inline: each fetch on the
+// missing walker's stepper) or depth D (pipelined: the walker parks while
+// idle steppers carry batched fetches), or a service's per-tenant adapter
+// — which collapses concurrent misses on one node into one fetch. Walker i's RNG and start node derive from
 // deterministic sub-seeds of `seed`, and each per-walker trace depends
 // only on that walker's own draws — never on what the cache, the resolver
 // or the other walkers did — so the merged ensemble is reproducible
@@ -42,9 +44,9 @@ struct EnsembleOptions {
   // count (its standalone cost), keeping the cut deterministic.
   uint64_t max_steps = 0;
   uint64_t query_budget = 0;
-  // Threads driving the walkers (0 = one per walker, so a walker parked on
-  // an in-flight fetch never stops the others from keeping a depth-D
-  // pipeline full).
+  // Steppers of the run's own step pool (0 = min(hardware concurrency,
+  // num_walkers)). A parked walker holds no stepper, so a few steppers keep
+  // a depth-D pipeline full. Unused when the caller passes its own pool.
   unsigned num_threads = 0;
   // Optional tracer (must outlive the run). Walker i's steps and cache
   // probes land on a "walker i" track, registered serially at run start so
@@ -104,13 +106,20 @@ struct EnsembleResult {
 
 // Runs the ensemble described by `options` against `group`, resolving
 // cache misses through `resolver` (see access/async_fetcher.h). Walkers
-// are built from `spec` (see core::MakeEnsemble). The group is NOT reset
-// first, so successive ensembles can keep accumulating shared history;
-// charged_queries reports only this run's fetches.
+// are built from `spec` (see core::MakeEnsemble) and run on `pool`, which
+// other runs may share; the first overload starts a pool for this run
+// alone. The group is NOT reset first, so successive ensembles can keep
+// accumulating shared history; charged_queries reports only this run's
+// fetches.
 util::Result<EnsembleResult> RunEnsemble(access::SharedAccessGroup& group,
                                          access::AsyncFetcher& resolver,
                                          const core::WalkerSpec& spec,
                                          const EnsembleOptions& options);
+util::Result<EnsembleResult> RunEnsemble(access::SharedAccessGroup& group,
+                                         access::AsyncFetcher& resolver,
+                                         const core::WalkerSpec& spec,
+                                         const EnsembleOptions& options,
+                                         StepPool& pool);
 
 }  // namespace histwalk::estimate
 

@@ -50,6 +50,36 @@ struct RunOptions {
   uint32_t progress_walker = 0;
 };
 
+// One walk's trace under construction, as a resumable state: TraceWalk's
+// loop body split into "is the walk done?" and "take one step", so a step
+// scheduler (estimate::StepPool) can interleave many walks on few threads
+// and set a step aside while its neighbor query is parked.
+class WalkTrace {
+ public:
+  // `walker` (already Reset) must outlive this object.
+  WalkTrace(core::Walker& walker, const RunOptions& options);
+
+  // True once a stop condition fired or a step failed; the trace is then
+  // final. Checked between steps only: a parked step is never done.
+  bool Done();
+
+  // Takes one step — or re-runs the parked one — and records it. False
+  // when the step parked on a pending fetch (util::IsParked): nothing was
+  // recorded or consumed, and the same call is to be repeated once the
+  // fetch landed. A parked step's trace span stays open across the park.
+  bool TakeStep();
+
+  // The finished trace. Call once, after Done().
+  TracedWalk Take() && { return std::move(trace_); }
+
+ private:
+  core::Walker& walker_;
+  RunOptions options_;
+  TracedWalk trace_;
+  bool done_ = false;
+  bool in_step_ = false;  // a step began (its span is open) but parked
+};
+
 // Steps `walker` (already Reset) until a stop condition fires. With
 // query_budget > 0 the run stops at the first step whose cumulative unique
 // query count EXCEEDS the budget; that step is excluded from the trace, so

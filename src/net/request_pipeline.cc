@@ -141,17 +141,26 @@ void TenantQueue::DrainShard(TenantId t, uint32_t shard, uint32_t max_batch,
 
 // ---- RequestPipeline --------------------------------------------------------
 
+namespace {
+
+// Where a depth-0 creator's own reply lands: it carries the fetch on its
+// own thread, so the reply is in before FetchOrParkFor returns.
+struct CaptureWaiter final : access::FetchWaiter {
+  std::optional<util::Result<access::AsyncFetcher::Fetched>> fetched;
+  void OnFetched(util::Result<access::AsyncFetcher::Fetched> reply) override {
+    fetched.emplace(std::move(reply));
+  }
+};
+
+}  // namespace
+
 RequestPipeline::RequestPipeline(RequestPipelineOptions options)
     : options_(options) {
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.tracer != nullptr) {
-    // Registered before the workers spawn so the track id is fixed by
-    // wiring order, not scheduling.
+    // Registered at construction so the track id is fixed by wiring order,
+    // not scheduling.
     trace_track_ = options_.tracer->RegisterTrack("pipeline");
-  }
-  workers_.reserve(options_.depth);
-  for (uint32_t t = 0; t < options_.depth; ++t) {
-    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -163,24 +172,26 @@ RequestPipeline::RequestPipeline(access::SharedAccessGroup* group,
 }
 
 RequestPipeline::~RequestPipeline() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
   std::unique_lock<std::mutex> lock(mu_);
-  // Workers drain the queue before exiting, so pending_ is empty unless a
-  // caller raced destruction (a use-after-scope bug on their side); fail
-  // any leftovers rather than hang their waiters.
-  for (auto& [key, pending] : pending_) {
-    pending->promise.set_value(
-        WireReply{nullptr, util::Status::Internal("pipeline destroyed")});
+  stopping_ = true;
+  // Carry what is still queued ourselves, then wait out every thread still
+  // inside a batch (its deliveries may have finished the last walker of a
+  // run that is now destroying us) or a blocking call.
+  while (true) {
+    if (BatchRunnableLocked()) {
+      lock.unlock();
+      RunQueuedBatch();
+      lock.lock();
+      continue;
+    }
+    if ((queue_ == nullptr || queue_->queued() == 0) && in_flight_ == 0 &&
+        blocked_callers_ == 0) {
+      break;
+    }
+    progress_cv_.wait(lock);
   }
-  pending_.clear();
-  // Let every FetchSharedFor call finish its accounting epilogue before
-  // the members it touches go away.
-  idle_cv_.wait(lock, [this] { return active_call_total_ == 0; });
+  // Every pending fetch is queued or in a batch until delivered.
+  HW_CHECK(pending_.empty());
 }
 
 TenantId RequestPipeline::AddTenant(access::SharedAccessGroup* group,
@@ -216,10 +227,9 @@ void RequestPipeline::RemoveTenant(TenantId tenant) {
   std::lock_guard<std::mutex> lock(mu_);
   HW_CHECK(tenant < tenants_.size());
   HW_CHECK(tenants_[tenant]->group != nullptr);  // double remove
-  // Quiescence: no FetchSharedFor call is inside this tenant (queued,
-  // blocked on any flight, or retrying) — a session whose walkers have
-  // all returned satisfies this. Implies the queue is empty and no
-  // pending flight was created by it.
+  // Quiescence: no waiter of this tenant is parked on any flight — a
+  // session whose walkers have all returned satisfies this. Implies the
+  // queue is empty and no pending flight was created by it.
   HW_CHECK(tenants_[tenant]->active_calls == 0);
   HW_CHECK(queue_->queued(tenant) == 0);
   // Fold the tenant's counters into the retired aggregate (so stats()
@@ -242,155 +252,158 @@ util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchShared(
   return FetchSharedFor(/*tenant=*/0, v);
 }
 
+std::optional<util::Result<access::AsyncFetcher::Fetched>>
+RequestPipeline::FetchOrPark(graph::NodeId v, access::FetchWaiter* waiter) {
+  return FetchOrParkFor(/*tenant=*/0, v, waiter);
+}
+
 util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedFor(
     TenantId tenant, graph::NodeId v) {
-  // Bracket the whole call (joins and retries included) in the tenant's
-  // active-call count so RemoveTenant's quiescence check is complete.
+  // The blocking caller parks like any walker; its reply is handed over
+  // under mu_, the mutex it waits on.
+  struct BlockingWaiter final : access::FetchWaiter {
+    RequestPipeline* pipeline = nullptr;
+    std::optional<util::Result<access::AsyncFetcher::Fetched>> fetched;
+    void OnFetched(util::Result<access::AsyncFetcher::Fetched> reply) override {
+      std::lock_guard<std::mutex> lock(pipeline->mu_);
+      fetched.emplace(std::move(reply));
+      pipeline->progress_cv_.notify_all();
+    }
+  } waiter;
+  waiter.pipeline = this;
   {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++blocked_callers_;
+  }
+  std::optional<util::Result<access::AsyncFetcher::Fetched>> result =
+      FetchOrParkFor(tenant, v, &waiter);
+  std::unique_lock<std::mutex> lock(mu_);
+  // Nobody else may be draining the queue: carry batches while waiting.
+  while (!result.has_value()) {
+    if (waiter.fetched.has_value()) {
+      result = std::move(waiter.fetched);
+    } else if (BatchRunnableLocked()) {
+      lock.unlock();
+      RunQueuedBatch();
+      lock.lock();
+    } else {
+      progress_cv_.wait(lock);
+    }
+  }
+  if (--blocked_callers_ == 0 && stopping_) progress_cv_.notify_all();
+  return *std::move(result);
+}
+
+std::optional<util::Result<access::AsyncFetcher::Fetched>>
+RequestPipeline::FetchOrParkFor(TenantId tenant, graph::NodeId v,
+                                access::FetchWaiter* waiter) {
+  HW_CHECK(waiter != nullptr);
+  CaptureWaiter own;
+  // Depth 0: the group this caller's own fetch runs against.
+  access::SharedAccessGroup* resolve_here = nullptr;
+  {
+    HW_PROF_SCOPE("pipeline/enqueue");
     std::lock_guard<std::mutex> lock(mu_);
     HW_CHECK(tenant < tenants_.size());
-    ++tenants_[tenant]->active_calls;
-    ++active_call_total_;
+    if (stopping_) {
+      // Destruction in progress: nobody will serve a fresh submit (this
+      // also stops budget-refusal resubmits from re-queueing).
+      return util::Result<access::AsyncFetcher::Fetched>(
+          util::Status::Internal("pipeline destroyed"));
+    }
+    Tenant& t = *tenants_[tenant];
+    HW_CHECK(t.group != nullptr);
+    const uint64_t key = PendingKey(tenant, v);
+    auto it = pending_.find(key);
+    if (it != pending_.end()) {
+      // Singleflight: join the request already in flight (possibly
+      // another tenant's — the shared cache serves every waiter).
+      ++t.stats.dedup_joins;
+      HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_, "singleflight_join",
+                            "\"node\":" + std::to_string(v) +
+                                ",\"tenant\":" + std::to_string(tenant));
+      it->second.joiners.push_back({waiter, tenant});
+      ++t.active_calls;
+      return std::nullopt;
+    }
+    // Did a fetch complete between the caller's cache miss and this
+    // submit? Probe with Contains() first because it has no stats side
+    // effects: the caller already recorded this lookup's miss, and a plain
+    // Get() here would double-count a miss on every ordinary submit. Get()
+    // runs only on the rare hit path (and can still race an eviction, in
+    // which case we fall through and fetch for real).
+    if (t.group->cache().Contains(v)) {
+      if (access::HistoryCache::Entry entry = t.group->cache().Get(v)) {
+        ++t.stats.late_hits;
+        HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_, "late_hit",
+                              "\"node\":" + std::to_string(v) +
+                                  ",\"tenant\":" + std::to_string(tenant));
+        return util::Result<access::AsyncFetcher::Fetched>(
+            access::AsyncFetcher::Fetched{std::move(entry),
+                                          /*charged_this_call=*/false});
+      }
+    }
+    ++t.stats.submitted;
+    ++t.active_calls;
+    HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_, "enqueue",
+                          "\"node\":" + std::to_string(v) +
+                              ",\"tenant\":" + std::to_string(tenant));
+    if (options_.depth == 0) {
+      // Depth 0: drained the instant it is submitted (wait 0), by this
+      // caller, below and outside the lock.
+      t.stats.wait.Record(0);
+      t.group->obs().pipeline_wait->Observe(0);
+      pending_.emplace(key, Pending{{&own, tenant}, {}});
+      ++in_flight_;
+      resolve_here = t.group;
+    } else {
+      pending_.emplace(key, Pending{{waiter, tenant}, {}});
+      queue_->Enqueue(tenant, v);
+      t.stats.max_queue_depth =
+          std::max(t.stats.max_queue_depth, queue_->queued(tenant));
+      global_max_queue_depth_ =
+          std::max(global_max_queue_depth_, queue_->queued());
+      queue_depth_hist_.Record(queue_->queued());
+      if (blocked_callers_ > 0) progress_cv_.notify_all();
+      return std::nullopt;
+    }
   }
-  auto result = FetchSharedForImpl(tenant, v);
+  TenantQueue::Batch batch;
+  batch.tenant = tenant;
+  batch.ids.push_back(v);
+  ProcessBatch(batch, resolve_here);
+  HW_CHECK(own.fetched.has_value());
+  return std::move(own.fetched);
+}
+
+bool RequestPipeline::RunQueuedBatch() {
+  TenantQueue::Batch batch;
+  access::SharedAccessGroup* group = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    --tenants_[tenant]->active_calls;
-    if (--active_call_total_ == 0 && stopping_) idle_cv_.notify_all();
+    if (!BatchRunnableLocked()) return false;
+    HW_CHECK(queue_->PickBatch(options_.max_batch, &batch));
+    Tenant& tenant = *tenants_[batch.tenant];
+    HW_CHECK(tenant.group != nullptr);
+    group = tenant.group;
+    // Wait accounting happens at drain time, under the same lock as the
+    // pick, so histograms are exact whatever thread runs the batch. The
+    // same waits feed the group's scraped histogram.
+    for (uint64_t wait : batch.waits) {
+      tenant.stats.wait.Record(wait);
+      group->obs().pipeline_wait->Observe(wait);
+    }
+    ++in_flight_;
   }
-  return result;
-}
-
-util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedForImpl(
-    TenantId tenant, graph::NodeId v) {
-  while (true) {
-    std::shared_future<WireReply> future;
-    bool creator = false;
-    // Depth 0: the group this caller's own fetch runs against.
-    access::SharedAccessGroup* resolve_here = nullptr;
-    {
-      HW_PROF_SCOPE("pipeline/enqueue");
-      std::unique_lock<std::mutex> lock(mu_);
-      HW_CHECK(tenant < tenants_.size());
-      if (stopping_) {
-        // Destruction in progress: nobody will serve a fresh submit (this
-        // also stops budget-refusal retries from re-queueing).
-        return util::Status::Internal("pipeline destroyed");
-      }
-      Tenant& t = *tenants_[tenant];
-      HW_CHECK(t.group != nullptr);
-      const uint64_t key = PendingKey(tenant, v);
-      auto it = pending_.find(key);
-      if (it != pending_.end()) {
-        // Singleflight: join the request already in flight (possibly
-        // another tenant's — the shared cache serves every waiter).
-        ++t.stats.dedup_joins;
-        HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_,
-                              "singleflight_join",
-                              "\"node\":" + std::to_string(v) +
-                                  ",\"tenant\":" + std::to_string(tenant));
-        future = it->second->future;
-      } else {
-        // Did a fetch complete between the caller's cache miss and this
-        // submit? Probe with Contains() first because it has no stats side
-        // effects: the caller already recorded this lookup's miss, and a
-        // plain Get() here would double-count a miss on every ordinary
-        // submit. Get() runs only on the rare hit path (and can still race
-        // an eviction, in which case we fall through and fetch for real).
-        if (t.group->cache().Contains(v)) {
-          if (access::HistoryCache::Entry entry = t.group->cache().Get(v)) {
-            ++t.stats.late_hits;
-            HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_, "late_hit",
-                                  "\"node\":" + std::to_string(v) +
-                                      ",\"tenant\":" + std::to_string(tenant));
-            return access::AsyncFetcher::Fetched{std::move(entry),
-                                                 /*charged_this_call=*/false};
-          }
-        }
-        auto pending = std::make_shared<Pending>();
-        pending->future = pending->promise.get_future().share();
-        pending->creator = tenant;
-        future = pending->future;
-        pending_.emplace(key, std::move(pending));
-        ++t.stats.submitted;
-        HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_, "enqueue",
-                              "\"node\":" + std::to_string(v) +
-                                  ",\"tenant\":" + std::to_string(tenant));
-        creator = true;
-        if (options_.depth == 0) {
-          // Depth 0: drained the instant it is submitted (wait 0), by this
-          // caller, below and outside the lock.
-          t.stats.wait.Record(0);
-          t.group->obs().pipeline_wait->Observe(0);
-          resolve_here = t.group;
-        } else {
-          queue_->Enqueue(tenant, v);
-          t.stats.max_queue_depth =
-              std::max(t.stats.max_queue_depth, queue_->queued(tenant));
-          global_max_queue_depth_ =
-              std::max(global_max_queue_depth_, queue_->queued());
-          queue_depth_hist_.Record(queue_->queued());
-          work_cv_.notify_one();
-        }
-      }
-    }
-    if (resolve_here != nullptr) {
-      TenantQueue::Batch batch;
-      batch.tenant = tenant;
-      batch.ids.push_back(v);
-      ProcessBatch(batch, resolve_here);
-    }
-    WireReply reply = future.get();
-    if (reply.status.ok()) {
-      return access::AsyncFetcher::Fetched{std::move(reply.entry), creator};
-    }
-    // A joined flight refused by ANOTHER tenant's budget says nothing
-    // about this tenant's own quota: the pending entry is gone, so
-    // resubmit — this call becomes the creator (or finds the node cached)
-    // and gets an answer charged against the right budget. A creator's
-    // refusal, or a join on a same-tenant flight, is definitive.
-    if (creator || reply.status.code() != util::StatusCode::kBudgetExhausted ||
-        reply.creator == tenant) {
-      return reply.status;
-    }
-  }
-}
-
-void RequestPipeline::WorkerLoop() {
-  TenantQueue::Batch batch;
-  while (true) {
-    access::SharedAccessGroup* group = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return stopping_ || (queue_ != nullptr && queue_->queued() > 0);
-      });
-      if (queue_ == nullptr || queue_->queued() == 0) {
-        return;  // stopping and fully drained
-      }
-      HW_CHECK(queue_->PickBatch(options_.max_batch, &batch));
-      Tenant& tenant = *tenants_[batch.tenant];
-      HW_CHECK(tenant.group != nullptr);
-      group = tenant.group;
-      // Wait accounting happens at drain time, under the same lock as the
-      // pick, so histograms are exact whatever the worker count. The same
-      // waits feed the group's scraped histogram.
-      for (uint64_t wait : batch.waits) {
-        tenant.stats.wait.Record(wait);
-        group->obs().pipeline_wait->Observe(wait);
-      }
-      // Leftover work belongs to another worker.
-      if (queue_->queued() > 0) work_cv_.notify_one();
-    }
-    ProcessBatch(batch, group);
-  }
+  ProcessBatch(batch, group);
+  return true;
 }
 
 void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
                                    access::SharedAccessGroup* group) {
   HW_PROF_SCOPE("pipeline/batch");
-  // 'X' complete events (not B/E spans) so concurrent workers' batches
-  // can't corrupt span nesting on the shared pipeline track.
+  // 'X' complete events (not B/E spans) so concurrent batches can't
+  // corrupt span nesting on the shared pipeline track.
   const uint64_t batch_start_us =
       options_.tracer != nullptr ? options_.tracer->NowUs() : 0;
   // Claim the tenant's budget per node before touching the wire; refused
@@ -446,10 +459,11 @@ void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
                      batch.tenant});
   }
 
-  // Detach the Pending entries under the lock, fulfill outside it (waiters
-  // resume inside promise::set_value; never hold mu_ across that).
-  std::vector<std::pair<std::shared_ptr<Pending>, WireReply>> to_fulfill;
-  to_fulfill.reserve(replies.size());
+  // Detach the pending entries under the lock, deliver outside it (a
+  // waiter's OnFetched may requeue a walker or resubmit a fetch; never
+  // hold mu_ across that).
+  std::vector<std::pair<Pending, size_t>> to_deliver;  // + index in replies
+  to_deliver.reserve(replies.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     Tenant& tenant = *tenants_[batch.tenant];
@@ -458,12 +472,15 @@ void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
       tenant.stats.wire_items += to_fetch.size();
     }
     tenant.stats.budget_refusals += refused.size();
-    for (auto& [v, reply] : replies) {
-      auto it = pending_.find(PendingKey(batch.tenant, v));
-      if (it != pending_.end()) {
-        to_fulfill.emplace_back(std::move(it->second), std::move(reply));
-        pending_.erase(it);
+    for (size_t i = 0; i < replies.size(); ++i) {
+      auto it = pending_.find(PendingKey(batch.tenant, replies[i].first));
+      if (it == pending_.end()) continue;
+      --tenants_[it->second.creator.tenant]->active_calls;
+      for (const Parked& joiner : it->second.joiners) {
+        --tenants_[joiner.tenant]->active_calls;
       }
+      to_deliver.emplace_back(std::move(it->second), i);
+      pending_.erase(it);
     }
   }
   if (options_.tracer != nullptr) {
@@ -474,20 +491,50 @@ void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
             ",\"items\":" + std::to_string(to_fetch.size()) +
             ",\"refused\":" + std::to_string(refused.size()));
   }
-  // "deliver" is emitted BEFORE set_value: fulfilling wakes the waiting
-  // walker, which may emit its next enqueue immediately — tracing after
-  // the wake would race that event on this track and break the serial
-  // stream's byte-determinism.
+  // "deliver" is emitted BEFORE the waiters wake: a woken walker may emit
+  // its next enqueue immediately — tracing after the wake would race that
+  // event on this track and break the serial stream's byte-determinism.
   HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_, "deliver",
                         "\"tenant\":" + std::to_string(batch.tenant) +
                             ",\"replies\":" +
-                            std::to_string(to_fulfill.size()));
+                            std::to_string(to_deliver.size()));
   {
     HW_PROF_SCOPE("pipeline/deliver");
-    for (auto& [pending, reply] : to_fulfill) {
-      pending->promise.set_value(std::move(reply));
+    for (const auto& [pending, index] : to_deliver) {
+      const auto& [v, reply] = replies[index];
+      Deliver(pending.creator, /*creator=*/true, v, reply);
+      for (const Parked& joiner : pending.joiners) {
+        Deliver(joiner, /*creator=*/false, v, reply);
+      }
     }
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  --in_flight_;
+  // A batch slot freed: a blocking caller may run the next batch, and a
+  // stopping destructor may be waiting for the last one. Notified under
+  // the lock: once it is released, the destructor may free the pipeline.
+  if (blocked_callers_ > 0 || stopping_) progress_cv_.notify_all();
+}
+
+void RequestPipeline::Deliver(const Parked& parked, bool creator,
+                              graph::NodeId v, const WireReply& reply) {
+  if (reply.status.ok()) {
+    parked.waiter->OnFetched(access::AsyncFetcher::Fetched{reply.entry,
+                                                           creator});
+    return;
+  }
+  // A joined flight refused by ANOTHER tenant's budget says nothing about
+  // this tenant's own quota: the pending entry is gone, so resubmit — the
+  // waiter becomes the creator (or finds the node cached) and gets an
+  // answer charged against the right budget. A creator's refusal, or a
+  // join on a same-tenant flight, is definitive.
+  if (!creator && reply.status.code() == util::StatusCode::kBudgetExhausted &&
+      reply.creator != parked.tenant) {
+    auto now = FetchOrParkFor(parked.tenant, v, parked.waiter);
+    if (now.has_value()) parked.waiter->OnFetched(*std::move(now));
+    return;
+  }
+  parked.waiter->OnFetched(reply.status);
 }
 
 RequestPipelineStats RequestPipeline::stats() const {

@@ -1,14 +1,12 @@
 #ifndef HISTWALK_NET_REQUEST_PIPELINE_H_
 #define HISTWALK_NET_REQUEST_PIPELINE_H_
 
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -22,18 +20,24 @@
 // per-run pipeline of inline (depth 0) and pipelined (depth D) runs, and
 // the shared wire funnel of service::SamplingService.
 //
+// The pipeline owns no threads. A miss either parks its walker on the
+// pending fetch (FetchOrPark, under estimate::StepPool) or blocks its caller
+// (FetchShared); queued batches are carried to the wire by whoever calls
+// RunQueuedBatch — idle stepper threads, and blocking callers while they
+// wait — and the thread that completes a batch hands every parked waiter
+// its reply.
+//
 // Four mechanisms, composable because they all live behind one submit
 // queue:
 //
-//  * Bounded in-flight depth. `depth` worker threads each carry at most
-//    one wire request, so the service never sees more than `depth`
-//    concurrent requests — the client-side analogue of the LatencyModel's
-//    max_in_flight slots. Depth 0 starts no workers and queues nothing:
-//    the caller that creates a fetch resolves it on its own thread as a
-//    one-id batch (one wire request), and concurrent callers join its
-//    flight.
+//  * Bounded in-flight depth. At most `depth` queued batches are on the
+//    wire at once, so the service never sees more than `depth` concurrent
+//    requests — the client-side analogue of the LatencyModel's
+//    max_in_flight slots. Depth 0 queues nothing: the caller that creates a
+//    fetch resolves it on its own thread as a one-id batch (one wire
+//    request), and concurrent callers join its flight.
 //  * Per-shard batching. Queued node ids are bucketed by
-//    HistoryCache::ShardOf, and a worker drains up to `max_batch` ids of
+//    HistoryCache::ShardOf, and a batch drains up to `max_batch` ids of
 //    ONE shard of ONE tenant into a single FetchNeighborsBatch call: one
 //    wire request (one latency, one rate-limit token) for the whole batch,
 //    and all its cache inserts land under a single shard lock.
@@ -74,8 +78,9 @@ enum class PipelineSchedulerPolicy {
 };
 
 struct RequestPipelineOptions {
-  // Worker threads == bound on concurrently outstanding wire requests.
-  // 0 = no workers: each fetch runs on the thread that created it.
+  // Bound on the queued batches on the wire at once (not a thread count:
+  // the pipeline has no threads). 0 = nothing is queued: each fetch runs
+  // on the thread that created it.
   uint32_t depth = 4;
   // Max neighbor fetches coalesced into one wire request. Clamped to >= 1.
   uint32_t max_batch = 8;
@@ -90,7 +95,7 @@ struct RequestPipelineOptions {
   // Optional tracer (must outlive the pipeline). The pipeline registers a
   // "pipeline" track and emits enqueue / singleflight_join / late_hit
   // instants plus one 'X' complete event per drained batch and a deliver
-  // instant per fulfilled reply.
+  // instant per delivered batch.
   obs::Tracer* tracer = nullptr;
 };
 
@@ -128,7 +133,7 @@ struct RequestPipelineStats {
   // Distribution of the global depth, sampled right after each enqueue —
   // max_queue_depth says how bad the worst moment was, this says how the
   // depth was typically distributed (a p50 near max means a standing
-  // backlog; a p99 spike over a low p50 means bursts the workers absorb).
+  // backlog; a p99 spike over a low p50 means bursts the batches absorb).
   WaitHistogram depth;
 
   double MeanBatchSize() const {
@@ -220,7 +225,10 @@ class RequestPipeline final : public access::AsyncFetcher {
   // pipeline, pass it as the resolver of estimate::RunEnsemble, destroy.
   explicit RequestPipeline(access::SharedAccessGroup* group,
                            RequestPipelineOptions options = {});
-  // Drains already-queued fetches, then joins the workers.
+  // Carries every still-queued fetch to the wire, then waits until no
+  // thread is inside a batch or a FetchShared call: a stepper that drains
+  // this pipeline for a run may still be delivering its last batch after
+  // the run's walkers finished.
   ~RequestPipeline() override;
 
   RequestPipeline(const RequestPipeline&) = delete;
@@ -248,14 +256,22 @@ class RequestPipeline final : public access::AsyncFetcher {
   // walkers with. Valid for the pipeline's lifetime.
   access::AsyncFetcher* tenant_fetcher(TenantId tenant);
 
-  // AsyncFetcher: single-tenant entry point (tenant 0). Blocks until the
-  // response for `v` is available.
+  // AsyncFetcher, single-tenant entry points (tenant 0). FetchShared
+  // blocks until the response for `v` is available, running queued batches
+  // meanwhile; FetchOrPark parks `waiter` instead.
   util::Result<access::AsyncFetcher::Fetched> FetchShared(
       graph::NodeId v) override;
+  std::optional<util::Result<access::AsyncFetcher::Fetched>> FetchOrPark(
+      graph::NodeId v, access::FetchWaiter* waiter) override;
+  // Runs the next queued batch of any tenant on the calling thread; false
+  // when nothing is queued or `depth` batches are already in flight.
+  bool RunQueuedBatch() override;
 
-  // The multi-tenant entry point behind tenant_fetcher().
+  // The multi-tenant entry points behind tenant_fetcher().
   util::Result<access::AsyncFetcher::Fetched> FetchSharedFor(TenantId tenant,
                                                              graph::NodeId v);
+  std::optional<util::Result<access::AsyncFetcher::Fetched>> FetchOrParkFor(
+      TenantId tenant, graph::NodeId v, access::FetchWaiter* waiter);
 
   // Stats consistency (same contract style as HistoryCache::stats()): each
   // call returns an internally consistent snapshot taken under the
@@ -279,10 +295,15 @@ class RequestPipeline final : public access::AsyncFetcher {
     util::Status status;
     TenantId creator = 0;  // whose budget the fetch was charged against
   };
+  // One waiter parked on a pending fetch.
+  struct Parked {
+    access::FetchWaiter* waiter = nullptr;
+    TenantId tenant = 0;
+  };
+  // A fetch in flight and the waiters its reply goes to.
   struct Pending {
-    std::promise<WireReply> promise;
-    std::shared_future<WireReply> future;
-    TenantId creator;
+    Parked creator;               // created the flight (and pays for it)
+    std::vector<Parked> joiners;  // joined it (singleflight)
   };
   struct TenantFetcherAdapter final : access::AsyncFetcher {
     RequestPipeline* pipeline = nullptr;
@@ -291,13 +312,18 @@ class RequestPipeline final : public access::AsyncFetcher {
         graph::NodeId v) override {
       return pipeline->FetchSharedFor(tenant, v);
     }
+    std::optional<util::Result<access::AsyncFetcher::Fetched>> FetchOrPark(
+        graph::NodeId v, access::FetchWaiter* waiter) override {
+      return pipeline->FetchOrParkFor(tenant, v, waiter);
+    }
+    bool RunQueuedBatch() override { return pipeline->RunQueuedBatch(); }
   };
   struct Tenant {
     access::SharedAccessGroup* group = nullptr;  // null after RemoveTenant
-    // FetchSharedFor calls currently inside this tenant (queued, joined,
-    // or retrying) — what RemoveTenant's quiescence check really needs:
-    // queue emptiness alone cannot see a call blocked joining ANOTHER
-    // tenant's flight that may yet retry under this id.
+    // Waiters of this tenant parked on a flight (its own or, joined,
+    // another tenant's) — what RemoveTenant's quiescence check needs:
+    // queue emptiness alone cannot see a join on ANOTHER tenant's flight
+    // that may yet resubmit under this id.
     uint64_t active_calls = 0;
     TenantPipelineStats stats;
     TenantFetcherAdapter fetcher;
@@ -312,30 +338,37 @@ class RequestPipeline final : public access::AsyncFetcher {
                      static_cast<uint64_t>(v);
   }
 
-  util::Result<access::AsyncFetcher::Fetched> FetchSharedForImpl(
-      TenantId tenant, graph::NodeId v);
-  void WorkerLoop();
+  // True when a queued batch may start now. Requires mu_.
+  bool BatchRunnableLocked() const {
+    return queue_ != nullptr && queue_->queued() > 0 &&
+           (options_.depth == 0 || in_flight_ < options_.depth);
+  }
   void ProcessBatch(const TenantQueue::Batch& batch,
                     access::SharedAccessGroup* group);
+  // Hands `reply` to a parked waiter, or — for a joiner whose flight
+  // another tenant's budget refused — resubmits it under its own tenant.
+  void Deliver(const Parked& parked, bool creator, graph::NodeId v,
+               const WireReply& reply);
 
   RequestPipelineOptions options_;
   uint32_t num_shards_ = 0;  // fixed by the first registered tenant's cache
   uint32_t trace_track_ = 0;  // "pipeline" track when options_.tracer set
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;  // destructor waits for call epilogues
+  // Signaled when a blocking caller may make progress (its reply landed,
+  // or a batch became runnable) and, while stopping, when a batch or call
+  // ends.
+  std::condition_variable progress_cv_;
   bool stopping_ = false;
-  uint64_t active_call_total_ = 0;  // FetchSharedFor calls in flight
+  uint32_t in_flight_ = 0;          // batches between pick and delivery
+  uint64_t blocked_callers_ = 0;    // FetchSharedFor calls inside the pipeline
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<TenantId> free_slots_;    // removed tenants awaiting reuse
   RequestPipelineStats retired_;        // folded stats of removed tenants
   std::unique_ptr<TenantQueue> queue_;  // created with the first tenant
   uint64_t global_max_queue_depth_ = 0;
   WaitHistogram queue_depth_hist_;  // global depth at each enqueue
-  std::unordered_map<uint64_t, std::shared_ptr<Pending>> pending_;
-
-  std::vector<std::thread> workers_;  // last member: joins before teardown
+  std::unordered_map<uint64_t, Pending> pending_;
 };
 
 }  // namespace histwalk::net

@@ -30,7 +30,7 @@
 // Instant emits 'i', Complete emits 'X' with an explicit ts + dur (used
 // for wire requests, whose issue/complete times come from the
 // LatencyModel schedule, and for pipeline batches, which would otherwise
-// nest confusingly across workers).
+// nest confusingly across concurrent batches).
 //
 // When no clock is injected (inline runs with no wire), each track stamps
 // a per-track logical tick instead, which is equally deterministic.

@@ -43,7 +43,8 @@ SamplingService::SamplingService(const access::AccessBackend* backend,
     : backend_(backend),
       options_(NormalizeServiceOptions(std::move(options))),
       shared_cache_(options_.cache),
-      pipeline_(options_.pipeline) {
+      pipeline_(options_.pipeline),
+      pool_(/*num_threads=*/0) {
   HW_CHECK(backend_ != nullptr);
   if (options_.store != nullptr && options_.share_history) {
     // Warm start: yesterday's crawls are today's shared history. A failed
@@ -179,7 +180,7 @@ void SamplingService::RunSession(Session* session) {
   ensemble_options.progress = progress;
   auto result = estimate::RunEnsemble(
       *session->group, *pipeline_.tenant_fetcher(session->tenant),
-      session->options.walker, ensemble_options);
+      session->options.walker, ensemble_options, pool_);
   const uint64_t done_us = ClockNowUs();
   if (progress != nullptr) {
     // Freeze the probes while the group is still guaranteed alive (Detach

@@ -43,9 +43,11 @@
 // the shared cache: its own walker spec, seed, per-walker stop conditions,
 // its own hard query quota (tenant_query_budget) and its own billing
 // (charged_queries) — so per-tenant accounting stays exact while the
-// history is communal. Sessions run asynchronously on their own threads
-// (one per session plus one per walker, each walker parking on the shared
-// pipeline while it waits for the wire).
+// history is communal. Sessions run asynchronously: each has a thread
+// that waits for its run, while the walkers of ALL sessions are multiplexed
+// on the service's one step pool (one stepper per core) — a walker whose
+// miss waits for the wire parks on the shared pipeline and holds no
+// thread, and idle steppers carry the pipeline's batches.
 //
 // Lifecycle: Submit() -> admission check (typed kUnavailable refusals when
 // the resident-session or history-memory limit is hit; nothing is started
@@ -251,6 +253,7 @@ class SamplingService {
   ServiceOptions options_;
   access::HistoryCache shared_cache_;
   net::RequestPipeline pipeline_;
+  estimate::StepPool pool_;  // every session's walkers run here
   util::Status warm_start_status_;
 
   mutable std::mutex mu_;

@@ -52,13 +52,18 @@ class ArrayBlock {
     return kPayloadOffset + size_ * sizeof(T);
   }
 
+  // Sizes first; memcmp only on non-empty payloads (an empty vector's
+  // data() may be null, and memcmp on a null pointer is undefined even for
+  // zero bytes).
   friend bool operator==(const ArrayBlock& a, const ArrayBlock& b) {
     return a.size_ == b.size_ &&
-           std::memcmp(a.data(), b.data(), a.size_ * sizeof(T)) == 0;
+           (a.size_ == 0 ||
+            std::memcmp(a.data(), b.data(), a.size_ * sizeof(T)) == 0);
   }
   friend bool operator==(const ArrayBlock& a, const std::vector<T>& b) {
     return a.size_ == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size_ * sizeof(T)) == 0;
+           (a.size_ == 0 ||
+            std::memcmp(a.data(), b.data(), a.size_ * sizeof(T)) == 0);
   }
 
  private:

@@ -26,6 +26,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "internal";
     case StatusCode::kDeadlineExceeded:
       return "deadline_exceeded";
+    case StatusCode::kParked:
+      return "parked";
   }
   return "unknown";
 }

@@ -28,6 +28,7 @@ enum class StatusCode {
   kUnavailable,        // a service refused admission (capacity, memory, ...)
   kInternal,
   kDeadlineExceeded,   // an operation gave up after its caller-set deadline
+  kParked,             // not an error: the call parked on a pending fetch
 };
 
 // Returns a stable lower-case name for `code` ("ok", "invalid_argument", ...).
@@ -72,6 +73,9 @@ class Status {
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
+  // Carries no message, so it allocates nothing: it is returned on the hot
+  // path of every parked walker step.
+  static Status Parked() { return Status(StatusCode::kParked, std::string()); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -121,6 +125,14 @@ inline bool IsUnavailable(const Status& status) {
 // nothing is known about whether the work happened.
 inline bool IsDeadlineExceeded(const Status& status) {
   return status.code() == StatusCode::kDeadlineExceeded;
+}
+
+// True when a neighbor query did not fail but PARKED on a pending fetch
+// (access::AsyncFetcher::FetchOrPark): the step that made it unwinds with
+// nothing changed and is re-run once the fetch lands (see core::Walker::
+// Step). Only a step scheduler ever sees it; it never crosses the wire.
+inline bool IsParked(const Status& status) {
+  return status.code() == StatusCode::kParked;
 }
 
 // Result<T> is either a value or a non-OK Status (never both).

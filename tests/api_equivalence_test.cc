@@ -9,6 +9,7 @@
 #include "access/graph_access.h"
 #include "api/sampler.h"
 #include "estimate/ensemble_runner.h"
+#include "estimate/step_pool.h"
 #include "graph/generators.h"
 #include "net/request_pipeline.h"
 #include "obs/profiler.h"
@@ -313,9 +314,10 @@ TEST(ApiEquivalenceTest, AllThreeModesProduceIdenticalTraces) {
 }
 
 // The paper bills unique queries, so with a cache that never evicts the
-// bill is a function of the walks: every mode, thread count and pipeline
-// depth resolves misses through one singleflight path and must charge
-// exactly the same queries — next to identical traces and estimate bits.
+// bill is a function of the walks: every mode, stepper count, pipeline
+// depth and session sharing the service's step pool resolves misses
+// through one singleflight path and must charge exactly the same queries —
+// next to identical traces and estimate bits.
 TEST(ApiEquivalenceTest, BillIsIdenticalAcrossModesThreadsAndDepths) {
   graph::Graph graph = TestGraph();
   auto base = [&] {
@@ -329,7 +331,7 @@ TEST(ApiEquivalenceTest, BillIsIdenticalAcrossModesThreadsAndDepths) {
   const RunReport reference = FacadeRun(base().RunInline(/*num_threads=*/1));
   EXPECT_GT(reference.charged_queries, 0u);
   std::vector<std::pair<std::string, RunReport>> runs;
-  for (unsigned threads : {4u, 8u}) {
+  for (unsigned threads : {2u, 4u, 8u}) {
     runs.emplace_back("inline/" + std::to_string(threads),
                       FacadeRun(base().RunInline(threads)));
   }
@@ -338,6 +340,27 @@ TEST(ApiEquivalenceTest, BillIsIdenticalAcrossModesThreadsAndDepths) {
                       FacadeRun(base().RunPipelined({.depth = depth})));
   }
   runs.emplace_back("service", FacadeRun(base().RunAsService()));
+  {
+    // Concurrent sessions multiplexed on the service's one step pool.
+    // Private caches keep each session's bill a function of its own walk.
+    auto service = base()
+                       .RunAsService({.max_sessions = 3,
+                                      .share_history = false})
+                       .Build();
+    ASSERT_TRUE(service.ok()) << service.status();
+    std::vector<RunHandle> handles;
+    for (int s = 0; s < 3; ++s) {
+      auto handle = (*service)->Run();
+      ASSERT_TRUE(handle.ok()) << handle.status();
+      handles.push_back(*handle);
+    }
+    for (size_t s = 0; s < handles.size(); ++s) {
+      auto report = handles[s].Wait();
+      ASSERT_TRUE(report.ok()) << report.status();
+      runs.emplace_back("service/shared-pool/" + std::to_string(s),
+                        *std::move(report));
+    }
+  }
 
   auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
   for (const auto& [name, run] : runs) {
@@ -346,6 +369,22 @@ TEST(ApiEquivalenceTest, BillIsIdenticalAcrossModesThreadsAndDepths) {
     EXPECT_EQ(reference.charged_queries, run.charged_queries);
     EXPECT_EQ(bits(reference.estimate), bits(run.estimate));
     EXPECT_EQ(bits(reference.std_error), bits(run.std_error));
+  }
+
+  // The step pool's size is free too: 1, 2 and 8 steppers over a depth-4
+  // pipeline walk and bill the same.
+  access::GraphAccess backend(&graph, nullptr);
+  for (unsigned steppers : {1u, 2u, 8u}) {
+    SCOPED_TRACE("steppers/" + std::to_string(steppers));
+    access::SharedAccessGroup group(&backend);
+    net::RequestPipeline pipeline(&group, {.depth = 4});
+    estimate::StepPool pool(steppers);
+    auto manual = estimate::RunEnsemble(
+        group, pipeline, {.type = core::WalkerType::kCnrw},
+        {.num_walkers = 8, .seed = 17, .max_steps = kSteps}, pool);
+    ASSERT_TRUE(manual.ok()) << manual.status();
+    ExpectSameRun(reference.ensemble, *manual);
+    EXPECT_EQ(reference.charged_queries, manual->charged_queries);
   }
 }
 

@@ -10,7 +10,7 @@
 // The acceptance contract of pipelined fetching: the resolver's depth
 // changes WHEN responses arrive (simulated wall-clock), never WHAT the
 // walkers do. Merged traces and per-walker QueryStats must be bit-identical
-// between depth 0 (inline: each fetch on the missing walker's thread) and
+// between depth 0 (inline: each fetch on the missing walker's stepper) and
 // every depth D, while the RemoteBackend's simulated clock shows depth > 1
 // finishing the same crawl sooner.
 

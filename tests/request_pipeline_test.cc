@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -521,6 +522,175 @@ TEST_F(RequestPipelineTest, JoinerRetriesWhenCreatorsBudgetRefusesTheFlight) {
   EXPECT_EQ(group_b.charged_queries(), 2u);  // the decoy + the retried node
   EXPECT_TRUE(shared_cache.Contains(2));
   EXPECT_EQ(pipeline.tenant_stats(a).budget_refusals, 1u);
+}
+
+// ---- parking (FetchOrPark: the step scheduler's entry point) ----------------
+
+// Records the outcome a parked fetch hands its waiter.
+struct RecordingWaiter final : access::FetchWaiter {
+  std::atomic<int> calls{0};
+  std::optional<util::Result<access::AsyncFetcher::Fetched>> fetched;
+  void OnFetched(util::Result<access::AsyncFetcher::Fetched> reply) override {
+    fetched.emplace(std::move(reply));
+    calls.fetch_add(1);
+  }
+};
+
+TEST_F(RequestPipelineTest, ParkedJoinIsDeliveredOnceByTheBatch) {
+  access::SharedAccessGroup group(&backend_);
+  RequestPipeline pipeline(&group, {.depth = 1, .max_batch = 4});
+  RecordingWaiter creator;
+  RecordingWaiter joiner;
+  // At depth > 0 nothing runs at submit: both calls park, the second as a
+  // singleflight join on the first's flight.
+  EXPECT_FALSE(pipeline.FetchOrPark(42, &creator).has_value());
+  EXPECT_FALSE(pipeline.FetchOrPark(42, &joiner).has_value());
+  EXPECT_EQ(pipeline.stats().submitted, 1u);
+  EXPECT_EQ(pipeline.stats().dedup_joins, 1u);
+  EXPECT_EQ(creator.calls.load(), 0);
+
+  // Whoever runs the batch delivers to every waiter, exactly once each.
+  EXPECT_TRUE(pipeline.RunQueuedBatch());
+  EXPECT_FALSE(pipeline.RunQueuedBatch());  // nothing left
+  ASSERT_EQ(creator.calls.load(), 1);
+  ASSERT_EQ(joiner.calls.load(), 1);
+  ASSERT_TRUE(creator.fetched->ok());
+  ASSERT_TRUE(joiner.fetched->ok());
+  EXPECT_TRUE((*creator.fetched)->charged_this_call);
+  EXPECT_FALSE((*joiner.fetched)->charged_this_call);
+  EXPECT_EQ((*creator.fetched)->entry, (*joiner.fetched)->entry);
+  EXPECT_EQ(group.charged_queries(), 1u);
+  EXPECT_EQ(pipeline.stats().wire_requests, 1u);
+}
+
+TEST_F(RequestPipelineTest, LateHitAnswersAParkingCallAtOnce) {
+  access::SharedAccessGroup group(&backend_);
+  RequestPipeline pipeline(&group, {.depth = 2});
+  ASSERT_TRUE(pipeline.FetchShared(3).ok());
+  RecordingWaiter waiter;
+  auto now = pipeline.FetchOrPark(3, &waiter);
+  ASSERT_TRUE(now.has_value());
+  ASSERT_TRUE(now->ok());
+  EXPECT_FALSE((*now)->charged_this_call);
+  EXPECT_EQ(waiter.calls.load(), 0);  // answered in place, never parked
+  EXPECT_EQ(pipeline.stats().late_hits, 1u);
+  EXPECT_EQ(group.charged_queries(), 1u);
+}
+
+TEST_F(RequestPipelineTest, DepthZeroCreatorResolvesInPlace) {
+  access::SharedAccessGroup group(&backend_);
+  RequestPipeline pipeline(&group, {.depth = 0});
+  RecordingWaiter waiter;
+  auto now = pipeline.FetchOrPark(5, &waiter);
+  ASSERT_TRUE(now.has_value());
+  ASSERT_TRUE(now->ok());
+  EXPECT_TRUE((*now)->charged_this_call);
+  EXPECT_EQ(waiter.calls.load(), 0);
+  EXPECT_FALSE(pipeline.RunQueuedBatch());  // depth 0 queues nothing
+  EXPECT_EQ(pipeline.stats().wire_requests, 1u);
+}
+
+TEST_F(RequestPipelineTest, ParkedJoinRefusedByAnotherTenantsBudgetResubmits) {
+  HistoryCache shared_cache({.num_shards = 4});
+  access::SharedAccessGroup group_a(&backend_, shared_cache,
+                                    {.query_budget = 1});
+  access::SharedAccessGroup group_b(&backend_, shared_cache);
+  RequestPipeline pipeline({.depth = 1, .max_batch = 4});
+  const TenantId a = pipeline.AddTenant(&group_a);
+  const TenantId b = pipeline.AddTenant(&group_b);
+  ASSERT_TRUE(pipeline.FetchSharedFor(a, 1).ok());  // spends A's quota
+
+  RecordingWaiter broke;
+  RecordingWaiter solvent;
+  EXPECT_FALSE(pipeline.FetchOrParkFor(a, 2, &broke).has_value());
+  EXPECT_FALSE(pipeline.FetchOrParkFor(b, 2, &solvent).has_value());
+  EXPECT_EQ(pipeline.tenant_stats(b).dedup_joins, 1u);
+
+  // A's batch is refused by A's budget: A hears the refusal, while B's
+  // join is resubmitted as B's own flight instead of inheriting it.
+  EXPECT_TRUE(pipeline.RunQueuedBatch());
+  ASSERT_EQ(broke.calls.load(), 1);
+  EXPECT_EQ(broke.fetched->status().code(),
+            util::StatusCode::kBudgetExhausted);
+  EXPECT_EQ(solvent.calls.load(), 0);
+  EXPECT_EQ(pipeline.tenant_stats(b).submitted, 1u);
+
+  EXPECT_TRUE(pipeline.RunQueuedBatch());
+  ASSERT_EQ(solvent.calls.load(), 1);
+  ASSERT_TRUE(solvent.fetched->ok());
+  EXPECT_TRUE((*solvent.fetched)->charged_this_call);
+  EXPECT_EQ(group_a.charged_queries(), 1u);
+  EXPECT_EQ(group_b.charged_queries(), 1u);
+  EXPECT_TRUE(shared_cache.Contains(2));
+  // Both tenants are quiescent again.
+  pipeline.RemoveTenant(a);
+  pipeline.RemoveTenant(b);
+}
+
+TEST_F(RequestPipelineTest, AtMostDepthBatchesRunAtOnce) {
+  GateBackend gated(&backend_);
+  access::SharedAccessGroup group(
+      &gated, {.cache = {.capacity = 0, .num_shards = 4}});
+  RequestPipeline pipeline(&group, {.depth = 2, .max_batch = 8});
+  // One id per shard: four batches queued.
+  std::vector<RecordingWaiter> waiters(4);
+  std::vector<bool> shard_taken(4, false);
+  size_t queued = 0;
+  for (graph::NodeId v = 0; queued < 4 && v < 256; ++v) {
+    const uint32_t shard = HistoryCache::ShardOf(v, 4);
+    if (shard_taken[shard]) continue;
+    shard_taken[shard] = true;
+    EXPECT_FALSE(pipeline.FetchOrPark(v, &waiters[queued++]).has_value());
+  }
+  ASSERT_EQ(queued, 4u);
+
+  // Four would-be runners race for the batches; only `depth` get one.
+  std::atomic<int> refused{0};
+  std::vector<std::thread> runners;
+  for (int t = 0; t < 4; ++t) {
+    runners.emplace_back([&] {
+      if (!pipeline.RunQueuedBatch()) refused.fetch_add(1);
+    });
+  }
+  while (gated.arrivals() < 2 || refused.load() < 2) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(gated.arrivals(), 2u);  // still only two on the wire
+  EXPECT_EQ(refused.load(), 2);
+  gated.Release(1'000'000);
+  for (auto& runner : runners) runner.join();
+  while (pipeline.RunQueuedBatch()) {
+  }
+  for (const RecordingWaiter& waiter : waiters) {
+    EXPECT_EQ(waiter.calls.load(), 1);
+  }
+  EXPECT_EQ(pipeline.stats().wire_requests, 4u);
+}
+
+TEST_F(RequestPipelineTest, DestructorWaitsForABatchAnotherThreadRuns) {
+  // A stepper may still be inside a per-run pipeline's batch — delivering
+  // to the run's last walker — when the run's owner destroys the pipeline.
+  GateBackend gated(&backend_);
+  access::SharedAccessGroup group(&gated);
+  auto* pipeline = new RequestPipeline(&group, {.depth = 1});
+  RecordingWaiter waiter;
+  EXPECT_FALSE(pipeline->FetchOrPark(9, &waiter).has_value());
+  std::thread runner([pipeline] { EXPECT_TRUE(pipeline->RunQueuedBatch()); });
+  while (gated.arrivals() < 1) std::this_thread::yield();
+
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([pipeline, &destroyed] {
+    delete pipeline;
+    destroyed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(destroyed.load());  // still waiting for the batch
+  gated.Release(1'000'000);
+  runner.join();
+  destroyer.join();
+  EXPECT_TRUE(destroyed.load());
+  EXPECT_EQ(waiter.calls.load(), 1);
 }
 
 TEST_F(RequestPipelineTest, DestructorDrainsQueuedFetches) {

@@ -273,7 +273,8 @@ TEST(CnrwTest, CirculationInvariantOnIrregularGraph) {
 TEST(CnrwTest, HistoryGrowsAndResetClearsIt) {
   graph::Graph g = graph::MakeComplete(6);
   GraphAccess access(&g, nullptr);
-  for (WalkerType type : {WalkerType::kCnrw, WalkerType::kNbCnrw}) {
+  for (WalkerType type :
+       {WalkerType::kCnrw, WalkerType::kCnrwNode, WalkerType::kNbCnrw}) {
     WalkerSpec spec;
     spec.type = type;
     auto walker = MakeWalker(spec, &access, 10);
@@ -395,9 +396,9 @@ TEST(CirculatedWalkersTest, TracesMatchPinnedDigests) {
       {WalkerType::kCnrw, 1, 0x85770f569e27645bull},
       {WalkerType::kCnrw, 2, 0x73416ce856be5fcdull},
       {WalkerType::kCnrw, 3, 0xfa474e806e1610c8ull},
-      {WalkerType::kCnrwNode, 1, 0x094b5da9783acca3ull},
-      {WalkerType::kCnrwNode, 2, 0xd7153480503b42ddull},
-      {WalkerType::kCnrwNode, 3, 0x23569f5c361f1768ull},
+      {WalkerType::kCnrwNode, 1, 0xde761cffc09212b1ull},
+      {WalkerType::kCnrwNode, 2, 0x96ddb7ff5ed6c457ull},
+      {WalkerType::kCnrwNode, 3, 0xcae2002a23d8eb25ull},
       {WalkerType::kNbCnrw, 1, 0xb4fedc11a9fb6547ull},
       {WalkerType::kNbCnrw, 2, 0xa80dbe91c06e40bdull},
       {WalkerType::kNbCnrw, 3, 0xbd48abea04a862e6ull},
