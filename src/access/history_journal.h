@@ -23,16 +23,18 @@ class HistoryJournal {
  public:
   virtual ~HistoryJournal() = default;
 
-  // Called once per entry that was genuinely inserted into `cache` (never
-  // for a Put() that found the id resident), AFTER the insert — the cache
-  // is authoritative, the journal trails it. `cache` is the cache the entry
-  // landed in, handed through so checkpoint-style implementations can fold
-  // it into a snapshot without holding their own pointer. Must be
-  // thread-safe: the threads carrying pipeline batches insert
-  // concurrently. Must not call back into the access layer's miss paths.
-  virtual void OnCacheInsert(graph::NodeId v,
-                             std::span<const graph::NodeId> neighbors,
-                             HistoryCache& cache) = 0;
+  // Called once per landed batch, AFTER the whole batch is in `cache` —
+  // the cache is authoritative, the journal trails it. `inserted[i]` says
+  // whether `entries[i]` was genuinely inserted (false when the id was
+  // already resident); only inserted entries are journaled, in batch
+  // order. `cache` is the cache the entries landed in, handed through so
+  // checkpoint-style implementations can fold it into a snapshot without
+  // holding their own pointer. Must be thread-safe: the threads carrying
+  // pipeline batches land them concurrently. Must not call back into the
+  // access layer's miss paths.
+  virtual void OnCacheInsertBatch(
+      std::span<const HistoryCache::ImportEntry> entries,
+      const bool* inserted, HistoryCache& cache) = 0;
 };
 
 }  // namespace histwalk::access

@@ -79,15 +79,7 @@ std::vector<HistoryCache::Entry> SharedAccessGroup::StoreFetchedBatch(
   std::unique_ptr<bool[]> inserted(new bool[entries.size()]{});
   cache_->PutBatch(entries, stored.data(), inserted.get());
   if (HistoryJournal* journal = options_.journal) {
-    // Journal only genuinely new entries, after the batch landed (the
-    // cache is authoritative, the journal trails it).
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (inserted[i]) {
-        journal->OnCacheInsert(entries[i].node,
-                               std::span<const graph::NodeId>(*stored[i]),
-                               *cache_);
-      }
-    }
+    journal->OnCacheInsertBatch(entries, inserted.get(), *cache_);
   }
   return stored;
 }

@@ -169,9 +169,9 @@ class SharedAccessGroup {
   // The single insert funnel for fetched responses: the whole batch lands
   // through one HistoryCache::PutBatch — a single exclusive-lock
   // acquisition per touched shard, and exactly one for the pipeline's
-  // per-shard batches — and the journal sees each genuinely new insertion
-  // exactly once, in batch order. Returns the pinned handles aligned with
-  // `entries`. Thread-safe.
+  // per-shard batches — and the journal sees the batch in one call, which
+  // journals each genuinely new insertion exactly once, in batch order.
+  // Returns the pinned handles aligned with `entries`. Thread-safe.
   std::vector<HistoryCache::Entry> StoreFetchedBatch(
       std::span<const HistoryCache::ImportEntry> entries);
 

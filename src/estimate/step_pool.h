@@ -14,8 +14,8 @@
 #include "access/async_fetcher.h"
 
 // The step scheduler: a fixed pool of stepper threads that multiplexes the
-// walkers of every run given to it (Walk, Not Wait, arXiv 1410.7833 — the
-// speed-up lives in overlapping fetches, not in waiting on them).
+// walkers of every run given to it (the speed-up lives in overlapping
+// fetches, not in waiting on them).
 //
 // A walker is a resumable Task. A stepper pops a ready task and runs it
 // until it finishes or PARKS: its step's neighbor query missed, and the

@@ -10,15 +10,15 @@
 // Simulated wire timing for a remote OSN service.
 //
 // The paper's cost model counts queries; against a real API the binding
-// resource is wall-clock — per-request latency and rate-limit windows
-// ("Walk, Not Wait": overlapping requests, not waiting on them, is where
-// the speedups live). LatencyModel is the virtual clock that makes that
-// axis measurable without ever sleeping: each wire request is scheduled
-// onto one of `max_in_flight` slots, pays a deterministic seeded latency,
-// and may be gated by a service quota. Because nothing depends on real
-// time or thread identity, the full timeline is a pure function of the
-// options and the order of ScheduleRequest calls — tests and benches
-// replay it bit-for-bit.
+// resource is wall-clock — per-request latency and rate-limit windows;
+// overlapping requests, not waiting on them, is where the speedups live.
+// LatencyModel is the virtual clock that makes that axis measurable
+// without ever sleeping: each wire request is scheduled onto one of
+// `max_in_flight` slots, pays a deterministic seeded latency, and may be
+// gated by a service quota. Because nothing depends on real time or
+// thread identity, the full timeline is a pure function of the options
+// and the order of ScheduleRequest calls — tests and benches replay it
+// bit-for-bit.
 //
 // The schedule is OPEN-LOOP: a request issues as soon as a wire slot and
 // the rate gate allow, regardless of when its sender could causally have

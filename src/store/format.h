@@ -1,7 +1,9 @@
 #ifndef HISTWALK_STORE_FORMAT_H_
 #define HISTWALK_STORE_FORMAT_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -84,6 +86,19 @@ inline void AppendU32(std::string& out, uint32_t v) {
   out.push_back(static_cast<char>((v >> 8) & 0xFF));
   out.push_back(static_cast<char>((v >> 16) & 0xFF));
   out.push_back(static_cast<char>((v >> 24) & 0xFF));
+}
+
+// Stores `v` little-endian at `dst` (any alignment): one plain store on a
+// little-endian host, byte by byte elsewhere.
+inline void StoreU32(char* dst, uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &v, sizeof(v));
+  } else {
+    dst[0] = static_cast<char>(v & 0xFF);
+    dst[1] = static_cast<char>((v >> 8) & 0xFF);
+    dst[2] = static_cast<char>((v >> 16) & 0xFF);
+    dst[3] = static_cast<char>((v >> 24) & 0xFF);
+  }
 }
 
 inline void AppendU64(std::string& out, uint64_t v) {

@@ -19,9 +19,7 @@ util::Result<std::unique_ptr<HistoryStore>> HistoryStore::Open(
   HW_CHECK(!options.snapshot_path.empty());
   std::unique_ptr<HistoryStore> store(new HistoryStore(std::move(options)));
   if (!store->options_.wal_path.empty()) {
-    auto wal = WalWriter::Open(
-        store->options_.wal_path,
-        {.flush_each_record = store->options_.flush_each_append});
+    auto wal = WalWriter::Open(store->options_.wal_path);
     if (!wal.ok()) return wal.status();
     store->wal_ = *std::move(wal);
     store->stats_.wal_bytes = store->wal_->file_bytes();
@@ -43,6 +41,11 @@ util::Result<std::unique_ptr<HistoryStore>> HistoryStore::Open(
 }
 
 HistoryStore::~HistoryStore() {
+  {
+    // A fold this drain trips is finished by the checkpoint thread below.
+    std::lock_guard<std::mutex> lock(mu_);
+    DrainLocked();
+  }
   if (checkpoint_thread_.joinable()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -89,40 +92,95 @@ util::Status HistoryStore::LoadInto(access::HistoryCache& cache) {
 void HistoryStore::OnCacheInsert(graph::NodeId v,
                                  std::span<const graph::NodeId> neighbors,
                                  access::HistoryCache& cache) {
+  const access::HistoryCache::ImportEntry entry{v, neighbors};
+  const bool inserted = true;
+  OnCacheInsertBatch({&entry, 1}, &inserted, cache);
+}
+
+void HistoryStore::OnCacheInsertBatch(
+    std::span<const access::HistoryCache::ImportEntry> entries,
+    const bool* inserted, access::HistoryCache& cache) {
   if (options_.wal_path.empty()) return;  // WAL disabled (immutable config)
+  const uint64_t count =
+      static_cast<uint64_t>(std::count(inserted, inserted + entries.size(),
+                                       true));
+  if (count == 0) return;
   HW_PROF_SCOPE("store/append");
+  access::HistoryCache* bound = nullptr;
+  if (!bound_cache_.compare_exchange_strong(bound, &cache) &&
+      bound != &cache) {
+    std::lock_guard<std::mutex> lock(mu_);
+    RecordError(util::Status::FailedPrecondition(
+                    "history store already journals another cache"),
+                count);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> queue(queue_mu_);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (!inserted[i]) continue;
+      WalWriter::EncodeRecord(entries[i].node, entries[i].neighbors,
+                              pending_);
+      // Emitted under the queue lock: enqueue order is journal order, so
+      // store-track event order equals journal order.
+      HW_TRACE_INSTANT_ARGS(
+          tracer_, trace_track_, "journal_append",
+          "\"node\":" + std::to_string(entries[i].node) +
+              ",\"neighbors\":" +
+              std::to_string(entries[i].neighbors.size()));
+    }
+    pending_records_ += count;
+    // The active writer re-checks the queue before giving up its role, so
+    // it takes these records; never wait on its write.
+    if (writer_active_) return;
+    writer_active_ = true;
+  }
   std::lock_guard<std::mutex> lock(mu_);
+  while (WritePendingLocked(/*release_role=*/true)) {
+  }
+}
+
+bool HistoryStore::WritePendingLocked(bool release_role) {
+  uint64_t records = 0;
+  {
+    std::lock_guard<std::mutex> queue(queue_mu_);
+    if (pending_records_ == 0) {
+      if (release_role) writer_active_ = false;
+      return false;
+    }
+    draining_.swap(pending_);
+    records = pending_records_;
+    pending_records_ = 0;
+  }
+  util::Status status;
   if (wal_ == nullptr) {
     // A rotation's reopen failed earlier (transient IO error); retry it
     // here so journaling self-heals. Until it succeeds, every dropped
-    // record is counted as an append failure.
-    auto reopened =
-        WalWriter::Open(options_.wal_path,
-                        {.flush_each_record = options_.flush_each_append});
-    if (!reopened.ok()) {
-      RecordError(reopened.status(), /*dropped_record=*/true);
-      return;
+    // group is counted as append failures.
+    auto reopened = WalWriter::Open(options_.wal_path);
+    if (reopened.ok()) {
+      wal_ = *std::move(reopened);
+    } else {
+      status = reopened.status();
     }
-    wal_ = *std::move(reopened);
   }
-  util::Status status = wal_->Append(v, neighbors);
+  if (status.ok()) status = wal_->WriteGroup(draining_, records);
+  draining_.clear();
   if (!status.ok()) {
-    RecordError(status, /*dropped_record=*/true);
-    return;
+    RecordError(status, records);
+    return true;
   }
-  ++stats_.appended_records;
+  stats_.appended_records += records;
   stats_.wal_bytes = wal_->file_bytes();
-  // Emitted under mu_ so store-track event order equals journal order.
-  HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "journal_append",
-                        "\"node\":" + std::to_string(v) + ",\"neighbors\":" +
-                            std::to_string(neighbors.size()));
   if (options_.checkpoint_wal_bytes == 0 ||
       wal_->file_bytes() < options_.checkpoint_wal_bytes) {
-    return;
+    return true;
   }
+  // Records were queued, so a cache is bound.
+  access::HistoryCache& cache = *bound_cache_.load();
   if (options_.background_checkpoint) {
     // Rotate + pin here (cheap), serialize + write on the checkpoint
-    // thread: this insert never waits for a snapshot write. While a fold
+    // thread: the writer never waits for a snapshot write. While a fold
     // is already in flight the rotation still happens — the active WAL is
     // parked on the fold segment list instead of growing past the
     // threshold — and the freshly pinned export supersedes any fold
@@ -130,14 +188,15 @@ void HistoryStore::OnCacheInsert(graph::NodeId v,
     RequestBackgroundFold(cache);
   } else {
     // Inline fold, still under mu_. Holding the lock is what makes the
-    // fold loss-free with a single WAL: a concurrent fetcher's cache
-    // insert lands BEFORE it blocks here to journal, so every record the
-    // reset erases is either in this snapshot or not yet journaled (it
-    // lands in the fresh WAL afterwards) — never dropped. The cost is
-    // that concurrent fetch completions stall for the length of one
-    // snapshot write each time the threshold trips.
-    RecordError(CheckpointLocked(cache), /*dropped_record=*/false);
+    // fold loss-free with a single WAL: every record the reset erases was
+    // written before it, and its cache insert landed before it was
+    // queued, so it is in this snapshot; records queued meanwhile land in
+    // the fresh WAL afterwards — never dropped. The cost is that the next
+    // group write stalls for the length of one snapshot write each time
+    // the threshold trips.
+    RecordError(CheckpointLocked(cache), /*dropped_records=*/0);
   }
+  return true;
 }
 
 void HistoryStore::AdoptFoldSegments() {
@@ -213,7 +272,7 @@ void HistoryStore::RequestBackgroundFold(const access::HistoryCache& cache) {
     // repeatedly) the WAL grows instead — bounded litter over unbounded.
     util::Status flushed = wal_->Flush();
     if (!flushed.ok()) {
-      RecordError(flushed, /*dropped_record=*/false);
+      RecordError(flushed, /*dropped_records=*/0);
       return;
     }
     const std::string segment = NextFoldSegmentPath();
@@ -222,21 +281,20 @@ void HistoryStore::RequestBackgroundFold(const access::HistoryCache& cache) {
       RecordError(
           util::Status::Internal("wal rotation rename failed for " +
                                  options_.wal_path),
-          /*dropped_record=*/false);
+          /*dropped_records=*/0);
       // Fall through to reopen the (un-renamed) log and keep journaling.
     } else {
       fold_segments_.push_back(segment);
       ++rotated_total_;
       SyncFoldStats();
     }
-    auto reopened =
-        WalWriter::Open(options_.wal_path,
-                        {.flush_each_record = options_.flush_each_append});
+    auto reopened = WalWriter::Open(options_.wal_path);
     if (!reopened.ok()) {
-      // No active WAL for now: each subsequent insert retries the reopen
-      // (and counts ITSELF as an append failure until one succeeds — see
-      // OnCacheInsert), matching the fire-and-forget journal contract.
-      RecordError(reopened.status(), /*dropped_record=*/false);
+      // No active WAL for now: each subsequent group write retries the
+      // reopen (and counts its records as append failures until one
+      // succeeds — see WritePendingLocked), matching the fire-and-forget
+      // journal contract.
+      RecordError(reopened.status(), /*dropped_records=*/0);
       return;
     }
     wal_ = *std::move(reopened);
@@ -288,7 +346,7 @@ void HistoryStore::CheckpointThreadLoop() {
     } else {
       // Keep the fold segments: they still hold the records the snapshot
       // failed to capture, and recovery replays them.
-      RecordError(written.status(), /*dropped_record=*/false);
+      RecordError(written.status(), /*dropped_records=*/0);
     }
     if (queued_fold_ && !stopping_) {
       // A rotation queued a newer export while we were writing: fold it
@@ -307,6 +365,7 @@ void HistoryStore::CheckpointThreadLoop() {
 
 util::Status HistoryStore::Checkpoint(const access::HistoryCache& cache) {
   std::unique_lock<std::mutex> lock(mu_);
+  DrainLocked();
   idle_cv_.wait(lock, [this] { return !ckpt_inflight_; });
   return CheckpointLocked(cache);
 }
@@ -336,24 +395,27 @@ util::Status HistoryStore::CheckpointLocked(
 }
 
 void HistoryStore::set_tracer(obs::Tracer* tracer) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::scoped_lock lock(mu_, queue_mu_);
   tracer_ = tracer;
   if (tracer_ != nullptr) trace_track_ = tracer_->RegisterTrack("store");
 }
 
 util::Status HistoryStore::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainLocked();
   if (wal_ == nullptr) return util::Status::Ok();
   return wal_->Flush();
 }
 
 void HistoryStore::WaitForIdle() {
   std::unique_lock<std::mutex> lock(mu_);
+  DrainLocked();
   idle_cv_.wait(lock, [this] { return !ckpt_inflight_; });
 }
 
-HistoryStoreStats HistoryStore::stats() const {
+HistoryStoreStats HistoryStore::stats() {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainLocked();
   return stats_;
 }
 
@@ -363,10 +425,10 @@ util::Status HistoryStore::last_error() const {
 }
 
 void HistoryStore::RecordError(const util::Status& status,
-                               bool dropped_record) {
+                               uint64_t dropped_records) {
   if (status.ok()) return;
-  if (dropped_record) {
-    ++stats_.append_failures;
+  if (dropped_records > 0) {
+    stats_.append_failures += dropped_records;
   } else {
     ++stats_.checkpoint_failures;
   }

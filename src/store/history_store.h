@@ -1,6 +1,7 @@
 #ifndef HISTWALK_STORE_HISTORY_STORE_H_
 #define HISTWALK_STORE_HISTORY_STORE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -22,6 +23,30 @@
 // cache in a fresh process, so crawls resume across restarts and a second
 // sampling task starts warm (the paper's history reuse, made persistent).
 //
+// One store journals ONE cache: the first cache that journals into it is
+// bound to it for the store's lifetime, and folds snapshot that cache. A
+// batch from any other cache is refused (kFailedPrecondition, counted in
+// append_failures): a fold of one cache would retire WAL segments holding
+// the other's records. Caches shared by several groups (the service's
+// cross-tenant cache) are one cache.
+//
+// Group commit: an inserting thread encodes its batch's records into a
+// shared queue under a short queue lock and never waits on another
+// thread's write. If no writer is active it becomes the writer: under the
+// journal lock it swaps the queue out, writes it as one group (one write,
+// one flush), runs the checkpoint threshold check, and repeats until it
+// finds the queue empty — giving up the role in that same queue critical
+// section, so no record is ever stranded. A thread that finds a writer
+// active returns at once; the writer takes its records. Hence:
+//  * a record is flushed before the active writer gives up its role;
+//  * with no journal call in progress, every inserted record is in the
+//    file;
+//  * Flush(), Checkpoint(), WaitForIdle(), stats() and the destructor
+//    drain the queue first;
+//  * a process crash can lose the records queued behind one in-flight
+//    write (not just the record being written). A resumed crawl fetches
+//    and bills those again; its walks do not change.
+//
 // Recovery order (LoadInto): snapshot first, then the rotated-out fold
 // segment (if a background checkpoint was interrupted — see below), then
 // the active WAL. All replays are idempotent inserts, so the segments may
@@ -32,13 +57,14 @@
 // folds the CURRENT cache contents into a fresh snapshot (atomic
 // tmp+rename) and retires the logged records. Two modes:
 //
-//  * background_checkpoint = true (default): the tripping insert only
-//    ROTATES the WAL (the active log is renamed to `<wal_path>.fold` and a
-//    fresh one opened — a few syscalls) and pins an in-memory export of
-//    the cache; a dedicated checkpoint thread serializes and writes the
-//    snapshot and then deletes the fold segment. Inserts never stall on
-//    serialization or disk IO — the ROADMAP "background checkpointing off
-//    the insert path" item. Crash windows are safe by construction:
+//  * background_checkpoint = true (default): the writer whose group write
+//    tripped the threshold only ROTATES the WAL (the active log is renamed
+//    to `<wal_path>.fold` and a fresh one opened — a few syscalls) and
+//    pins an in-memory export of the cache; a dedicated checkpoint thread
+//    serializes and writes the snapshot and then deletes the fold
+//    segment. Inserts never stall on serialization or disk IO — the
+//    ROADMAP "background checkpointing off the insert path" item. Crash
+//    windows are safe by construction:
 //      - crash before the snapshot rename -> old snapshot + fold segment +
 //        active WAL replay to the full history;
 //      - crash after the rename, before the fold delete -> the fold
@@ -51,8 +77,8 @@
 //    source of truth, as in the inline mode). Rotated segments form a
 //    LIST (`<wal>.fold`, then `<wal>.fold.2`, `<wal>.fold.3`, ... in
 //    rotation order): while one fold is in flight, a second tripping
-//    insert still rotates the active WAL into a fresh queued segment —
-//    the WAL never grows past threshold + one insert — and re-pins a
+//    write still rotates the active WAL into a fresh queued segment —
+//    the WAL never grows past threshold + one group — and re-pins a
 //    newer cache export that supersedes any fold already queued (the
 //    newest export covers every earlier segment's records, so at most one
 //    fold waits behind the in-flight one regardless of how many segments
@@ -61,16 +87,15 @@
 //    (kMaxFoldSegments); in the pathological case of folds failing
 //    repeatedly the WAL falls back to growing past the threshold rather
 //    than littering the directory.
-//  * background_checkpoint = false: the PR-3 inline behaviour — the fold
-//    (snapshot write included) runs on the inserting thread under the
-//    journal lock, stalling concurrent fetch completions for the length
-//    of one snapshot write.
+//  * background_checkpoint = false: the fold (snapshot write included)
+//    runs on the writer under the journal lock, stalling the next group
+//    write for the length of one snapshot write.
 //
 // (Like the WAL itself, checkpointing covers process death, not power
 // loss: files are flushed, never fsync'd — see the note in store/format.h.)
 //
-// Journal errors (disk full, ...) never fail the crawl: OnCacheInsert is
-// fire-and-forget by interface; failures are counted in stats() and the
+// Journal errors (disk full, ...) never fail the crawl: OnCacheInsertBatch
+// is fire-and-forget by interface; failures are counted in stats() and the
 // first one is kept in last_error().
 
 namespace histwalk::store {
@@ -92,12 +117,10 @@ struct HistoryStoreOptions {
   // 0 = never checkpoint automatically.
   uint64_t checkpoint_wal_bytes = 8ull * 1024 * 1024;
   // Run automatic folds on a background thread (see the mode comparison
-  // above). The tripping insert still pays the WAL rotation plus an
+  // above). The tripping writer still pays the WAL rotation plus an
   // O(entries) pin-export of the cache; serialization and disk IO move
   // off-path.
   bool background_checkpoint = true;
-  // See WalWriterOptions.
-  bool flush_each_append = true;
   // Threads for parallel snapshot save/load (0 = hardware concurrency).
   unsigned num_threads = 0;
 };
@@ -108,8 +131,9 @@ struct HistoryStoreStats {
   uint64_t replayed_wal_inserted = 0;
   bool recovered_torn_tail = false;
   uint64_t appended_records = 0;
-  // Records DROPPED from the journal (a failed append, or an insert that
-  // arrived while the WAL could not be reopened after a failed rotation).
+  // Records DROPPED from the journal (a failed group write, a group that
+  // arrived while the WAL could not be reopened after a failed rotation, or
+  // a batch from a cache other than the bound one).
   uint64_t append_failures = 0;
   uint64_t checkpoints = 0;
   // Failed fold attempts (snapshot write, WAL rotation) — no record was
@@ -133,7 +157,8 @@ class HistoryStore final : public access::HistoryJournal {
   static util::Result<std::unique_ptr<HistoryStore>> Open(
       HistoryStoreOptions options);
 
-  // Finishes any in-flight background checkpoint, then flushes the WAL.
+  // Drains the queue, finishes any in-flight background checkpoint, then
+  // flushes the WAL.
   ~HistoryStore() override;
 
   // Rebuilds `cache` from the snapshot (if any), the fold segment (if a
@@ -142,17 +167,25 @@ class HistoryStore final : public access::HistoryJournal {
   // on interior corruption of any file.
   util::Status LoadInto(access::HistoryCache& cache);
 
-  // access::HistoryJournal — called by the access layer for every new
-  // cache insert. Appends to the WAL and auto-checkpoints past the
-  // threshold. Thread-safe.
-  void OnCacheInsert(graph::NodeId v, std::span<const graph::NodeId> neighbors,
-                     access::HistoryCache& cache) override;
+  // access::HistoryJournal — called by the access layer once per landed
+  // batch. Queues the inserted entries' records for the next group write
+  // (see "Group commit" above) and auto-checkpoints past the threshold.
+  // Thread-safe.
+  void OnCacheInsertBatch(std::span<const access::HistoryCache::ImportEntry>
+                              entries,
+                          const bool* inserted,
+                          access::HistoryCache& cache) override;
 
-  // Folds `cache` into a fresh snapshot now, truncates the WAL and deletes
-  // any fold segment. Synchronous; waits for an in-flight background
-  // checkpoint first.
+  // One inserted entry: OnCacheInsertBatch with a batch of one.
+  void OnCacheInsert(graph::NodeId v, std::span<const graph::NodeId> neighbors,
+                     access::HistoryCache& cache);
+
+  // Drains the queue, then folds `cache` into a fresh snapshot now,
+  // truncates the WAL and deletes any fold segment. Synchronous; waits for
+  // an in-flight background checkpoint first.
   util::Status Checkpoint(const access::HistoryCache& cache);
 
+  // Drains the queue and flushes the WAL.
   util::Status Flush();
 
   // Attaches (or detaches, with nullptr) a tracer: journal appends become
@@ -160,11 +193,13 @@ class HistoryStore final : public access::HistoryJournal {
   // tracer must outlive the attachment; attach before journaling starts.
   void set_tracer(obs::Tracer* tracer);
 
-  // Blocks until no background checkpoint is queued or running. Tests and
-  // shutdown sequencing use this; ~HistoryStore calls it implicitly.
+  // Drains the queue, then blocks until no background checkpoint is queued
+  // or running. Tests and shutdown sequencing use this; ~HistoryStore calls
+  // it implicitly.
   void WaitForIdle();
 
-  HistoryStoreStats stats() const;
+  // Drains the queue, then reads the counters.
+  HistoryStoreStats stats();
   // OK, or the first journaling failure since construction.
   util::Status last_error() const;
 
@@ -180,12 +215,25 @@ class HistoryStore final : public access::HistoryJournal {
   static constexpr size_t kMaxFoldSegments = 8;
 
  private:
+  // Tests hold the writer role through it to exercise the queue.
+  friend class HistoryStoreTestPeer;
+
   explicit HistoryStore(HistoryStoreOptions options);
 
+  // Swaps the queue out and writes it as one group, then runs the
+  // checkpoint threshold check. Returns false (writing nothing) when the
+  // queue was empty; with `release_role` the writer role is given up in
+  // that same queue critical section. Called under mu_.
+  bool WritePendingLocked(bool release_role);
+  // WritePendingLocked until the queue is empty, keeping the role as is.
+  void DrainLocked() {
+    while (WritePendingLocked(/*release_role=*/false)) {
+    }
+  }
   util::Status CheckpointLocked(const access::HistoryCache& cache);
   // Rotates the active WAL out to a fresh fold segment and pins a cache
   // export for the checkpoint thread (superseding any queued fold). Called
-  // under mu_ by OnCacheInsert.
+  // under mu_ by the writer.
   void RequestBackgroundFold(const access::HistoryCache& cache);
   void CheckpointThreadLoop();
   // Adopts fold segments left on disk by an interrupted background
@@ -197,17 +245,27 @@ class HistoryStore final : public access::HistoryJournal {
   // the snapshot just written). Called under mu_.
   void RetireFoldSegments(size_t count);
   void SyncFoldStats();
-  // `dropped_record` selects which failure counter the error lands in:
-  // append_failures (a journal record was lost) vs checkpoint_failures (a
-  // fold attempt failed, durability intact).
-  void RecordError(const util::Status& status, bool dropped_record);
+  // `dropped_records` selects which failure counter the error lands in:
+  // > 0 adds that many lost journal records to append_failures; 0 counts a
+  // failed fold attempt (durability intact) in checkpoint_failures.
+  void RecordError(const util::Status& status, uint64_t dropped_records);
 
   HistoryStoreOptions options_;
   std::unique_ptr<WalWriter> wal_;  // null when the WAL is disabled
   obs::Tracer* tracer_ = nullptr;
   uint32_t trace_track_ = 0;  // "store" track when tracer_ set
 
-  mutable std::mutex mu_;  // serializes appends, checkpoints, stats
+  // The cache this store journals; set by the first journal call.
+  std::atomic<access::HistoryCache*> bound_cache_{nullptr};
+
+  // The group-commit queue. Lock order: mu_ before queue_mu_.
+  std::mutex queue_mu_;
+  std::string pending_;           // encoded records, in journal order
+  uint64_t pending_records_ = 0;
+  bool writer_active_ = false;    // some thread holds the writer role
+  std::string draining_;          // swapped with pending_ under mu_
+
+  mutable std::mutex mu_;  // serializes group writes, checkpoints, stats
   HistoryStoreStats stats_;
   util::Status last_error_;
 

@@ -1,5 +1,7 @@
 #include "store/wal.h"
 
+#include <bit>
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
@@ -136,12 +138,11 @@ util::Result<WalReplayReport> ReplayWal(const std::string& path,
   return report;
 }
 
-WalWriter::WalWriter(std::string path, WalWriterOptions options)
-    : path_(std::move(path)), options_(options) {}
+WalWriter::WalWriter(std::string path) : path_(std::move(path)) {}
 
 util::Result<std::unique_ptr<WalWriter>> WalWriter::Open(
-    const std::string& path, WalWriterOptions options) {
-  std::unique_ptr<WalWriter> writer(new WalWriter(path, options));
+    const std::string& path) {
+  std::unique_ptr<WalWriter> writer(new WalWriter(path));
   auto existing = ScanWal(path);
   if (existing.ok()) {
     // Repair a torn tail before appending: never write after garbage.
@@ -195,25 +196,49 @@ util::Result<std::unique_ptr<WalWriter>> WalWriter::Open(
 
 WalWriter::~WalWriter() { Flush(); }
 
-util::Status WalWriter::Append(graph::NodeId v,
-                               std::span<const graph::NodeId> neighbors) {
-  scratch_.clear();
-  AppendU32(scratch_, v);
-  AppendU32(scratch_, static_cast<uint32_t>(neighbors.size()));
-  for (graph::NodeId neighbor : neighbors) AppendU32(scratch_, neighbor);
-  std::string record;
-  record.reserve(kRecordHeaderBytes + scratch_.size());
-  AppendU32(record, static_cast<uint32_t>(scratch_.size()));
-  AppendU32(record, util::Crc32(scratch_));
-  record += scratch_;
-  out_.write(record.data(), static_cast<std::streamsize>(record.size()));
-  if (options_.flush_each_record) out_.flush();
+void WalWriter::EncodeRecord(graph::NodeId v,
+                             std::span<const graph::NodeId> neighbors,
+                             std::string& out) {
+  const size_t payload_bytes = 8 + 4 * neighbors.size();
+  const size_t start = out.size();
+  out.resize(start + kRecordHeaderBytes + payload_bytes);
+  char* record = out.data() + start;
+  char* payload = record + kRecordHeaderBytes;
+  StoreU32(payload, v);
+  StoreU32(payload + 4, static_cast<uint32_t>(neighbors.size()));
+  char* cursor = payload + 8;
+  static_assert(sizeof(graph::NodeId) == 4);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!neighbors.empty()) {
+      std::memcpy(cursor, neighbors.data(), 4 * neighbors.size());
+    }
+  } else {
+    for (graph::NodeId neighbor : neighbors) {
+      StoreU32(cursor, neighbor);
+      cursor += 4;
+    }
+  }
+  StoreU32(record, static_cast<uint32_t>(payload_bytes));
+  StoreU32(record + 4,
+           util::Crc32(std::string_view(payload, payload_bytes)));
+}
+
+util::Status WalWriter::WriteGroup(std::string_view records, uint64_t count) {
+  out_.write(records.data(), static_cast<std::streamsize>(records.size()));
+  out_.flush();
   if (!out_.good()) {
     return util::Status::Internal("wal append failed for " + path_);
   }
-  file_bytes_ += record.size();
-  ++records_appended_;
+  file_bytes_ += records.size();
+  records_appended_ += count;
   return util::Status::Ok();
+}
+
+util::Status WalWriter::Append(graph::NodeId v,
+                               std::span<const graph::NodeId> neighbors) {
+  std::string record;
+  EncodeRecord(v, neighbors, record);
+  return WriteGroup(record, 1);
 }
 
 util::Status WalWriter::Flush() {

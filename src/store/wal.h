@@ -3,7 +3,9 @@
 
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "access/history_cache.h"
 #include "util/status.h"
@@ -12,7 +14,7 @@
 // snapshots, every response the crawl fetches is appended here; replaying
 // the log on top of the last snapshot reconstructs the cache a crashed
 // crawl had built, so the next run re-walks its cached prefix for free
-// instead of re-paying the service ("Walk, Not Wait").
+// instead of re-paying the service.
 //
 // File layout (little-endian, see store/format.h):
 //
@@ -20,10 +22,20 @@
 //   records  length u32 | crc32(payload) u32 | payload
 //            payload = node u32 | degree u32 | degree * neighbor u32
 //
+// Writes are group commits: the caller encodes any number of records into
+// one buffer (EncodeRecord) and hands it to WriteGroup, which writes the
+// buffer and flushes the stream once. The bytes on disk depend only on the
+// record order, never on how the records were grouped.
+//
 // Crash-safety contract:
 //  * A record is visible iff fully written; replay applies records in
 //    order until the first incomplete one.
-//  * A torn tail (crash mid-append: the file ends inside a record, or the
+//  * A record is flushed before the WriteGroup (or Append) call carrying
+//    it returns. A process crash mid-group can tear the group: replay keeps
+//    the group's fully written prefix and drops the rest as a torn tail.
+//    store::HistoryStore queues records behind an in-flight group, so a
+//    crash there also loses the queued ones (see store/history_store.h).
+//  * A torn tail (crash mid-write: the file ends inside a record, or the
 //    final record fails its CRC) is TOLERATED: replay drops the tail,
 //    reports it, and Open() repairs the file by truncating to the last
 //    valid boundary so new appends never land after garbage.
@@ -32,17 +44,10 @@
 //    the log cannot be trusted past that point and is never silently
 //    half-replayed.
 //  * Scope: the contract covers PROCESS death (kill -9, crash, OOM).
-//    Appends are flushed, not fsync'd, so power loss or a kernel crash can
+//    Writes are flushed, not fsync'd, so power loss or a kernel crash can
 //    drop page-cache writes beyond what replay can repair.
 
 namespace histwalk::store {
-
-struct WalWriterOptions {
-  // Flush the stream after every append. Keeps the every-record-durable
-  // contract on clean process exit and most crashes; turn off for bulk
-  // experiment runs where the WAL is only a convenience.
-  bool flush_each_record = true;
-};
 
 struct WalScan {
   uint64_t valid_records = 0;
@@ -77,13 +82,24 @@ class WalWriter {
   // (kFailedPrecondition). Not thread-safe — callers (store::HistoryStore)
   // serialize appends.
   static util::Result<std::unique_ptr<WalWriter>> Open(
-      const std::string& path, WalWriterOptions options = {});
+      const std::string& path);
 
   ~WalWriter();  // flushes
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
+  // Appends one framed record (length, CRC, payload) for `v` to `out`.
+  // Any number of records encoded back to back form a valid group.
+  static void EncodeRecord(graph::NodeId v,
+                           std::span<const graph::NodeId> neighbors,
+                           std::string& out);
+
+  // Writes `records` — `count` records from EncodeRecord — and flushes
+  // once.
+  util::Status WriteGroup(std::string_view records, uint64_t count);
+
+  // A one-record group.
   util::Status Append(graph::NodeId v,
                       std::span<const graph::NodeId> neighbors);
   util::Status Flush();
@@ -102,16 +118,14 @@ class WalWriter {
   uint64_t records_appended() const { return records_appended_; }
 
  private:
-  WalWriter(std::string path, WalWriterOptions options);
+  explicit WalWriter(std::string path);
 
   std::string path_;
-  WalWriterOptions options_;
   std::ofstream out_;
   uint64_t file_bytes_ = 0;
   uint64_t records_appended_ = 0;
   bool repaired_torn_tail_ = false;
   uint64_t repaired_dropped_bytes_ = 0;
-  std::string scratch_;  // reused record buffer
 };
 
 }  // namespace histwalk::store

@@ -1,29 +1,60 @@
 #include "util/crc32.h"
 
 #include <array>
+#include <cstddef>
 
 namespace histwalk::util {
 namespace {
 
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kTables[0] is the classic bytewise table, and
+// kTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// input bytes fold into the running CRC with eight independent lookups.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables BuildTables() {
+  Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
+}
+
+constexpr Tables kTables = BuildTables();
+
+// Little-endian load regardless of host byte order or alignment (compilers
+// fold it to one unaligned load on little-endian targets).
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data, uint32_t crc) {
-  static const std::array<uint32_t, 256> kTable = BuildTable();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   crc = ~crc;
-  for (unsigned char byte : data) {
-    crc = kTable[(crc ^ byte) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+          kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+          kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kTables[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }

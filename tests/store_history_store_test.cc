@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,21 @@
 #include "util/status.h"
 
 namespace histwalk::store {
+
+// Reaches the group-commit queue: holding the writer role stands in for a
+// writer thread that has taken the role and not yet written.
+class HistoryStoreTestPeer {
+ public:
+  static void SetWriterRole(HistoryStore& store, bool held) {
+    std::lock_guard<std::mutex> queue(store.queue_mu_);
+    store.writer_active_ = held;
+  }
+  static uint64_t QueuedRecords(HistoryStore& store) {
+    std::lock_guard<std::mutex> queue(store.queue_mu_);
+    return store.pending_records_;
+  }
+};
+
 namespace {
 
 std::string TempPath(const std::string& name) {
@@ -499,6 +517,167 @@ TEST(HistoryStoreTest, RotationStormUnderBackgroundFoldsIsLossFree) {
   access::HistoryCache rebuilt({.num_shards = 8});
   ASSERT_TRUE((*store)->LoadInto(rebuilt).ok());
   EXPECT_EQ(rebuilt.stats().entries, kNodes);
+}
+
+TEST(HistoryStoreTest, OneStoreJournalsOneCache) {
+  // Two caches journaling into one store: a fold pins only one cache and
+  // would retire a segment holding the other's records. The store binds
+  // the first cache and refuses the second instead of losing records.
+  const std::string snap = TempPath("hs_two_caches.hwss");
+  const std::string wal = TempPath("hs_two_caches.hwwl");
+  constexpr graph::NodeId kNodes = 200;
+  {
+    auto store = HistoryStore::Open({.snapshot_path = snap,
+                                     .wal_path = wal,
+                                     .checkpoint_wal_bytes = 512});
+    ASSERT_TRUE(store.ok()) << store.status();
+    access::HistoryCache first({.num_shards = 4});
+    access::HistoryCache second({.num_shards = 4});
+    for (graph::NodeId v = 0; v < kNodes; ++v) {
+      access::HistoryCache& cache = v % 2 == 0 ? first : second;
+      const std::vector<graph::NodeId> neighbors{v + 1, v + 2, v + 3};
+      cache.Put(v, neighbors, nullptr);
+      (*store)->OnCacheInsert(v, neighbors, cache);
+    }
+    (*store)->WaitForIdle();
+    const HistoryStoreStats stats = (*store)->stats();
+    EXPECT_EQ(stats.appended_records, kNodes / 2);
+    EXPECT_EQ(stats.append_failures, kNodes / 2);
+    EXPECT_GT(stats.checkpoints, 0u);
+    EXPECT_EQ((*store)->last_error().code(),
+              util::StatusCode::kFailedPrecondition);
+  }
+  auto reopened = HistoryStore::Open(
+      {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  access::HistoryCache rebuilt({.num_shards = 4});
+  ASSERT_TRUE((*reopened)->LoadInto(rebuilt).ok());
+  // Every record of the bound cache, and nothing of the refused one.
+  EXPECT_EQ(rebuilt.stats().entries, kNodes / 2);
+  for (graph::NodeId v = 0; v < kNodes; v += 2) {
+    EXPECT_NE(rebuilt.Get(v), nullptr) << "node " << v;
+  }
+}
+
+TEST(HistoryStoreTest, ConcurrentBatchesAreInTheFileOnceEveryCallReturned) {
+  // 8 threads land batches through StoreFetchedBatch while rotations trip.
+  // The snapshot path is unwritable, so no fold retires a segment: after
+  // every round, with the store still open and nothing flushed, the active
+  // WAL plus the rotated segments must hold every inserted record exactly
+  // once, since a record is written before the last journal call in
+  // flight returns. Many short rounds give many chances to strand a record
+  // that was queued while the last writer was writing.
+  const std::string dir = testing::TempDir() + "/hs_group_commit";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string wal = dir + "/log.hwwl";
+  constexpr uint32_t kRounds = 40;
+  constexpr uint32_t kThreads = 8;
+  constexpr uint32_t kBatches = 12;
+  constexpr uint32_t kBatchSize = 9;
+  constexpr uint32_t kRoundIds = kThreads * kBatches * kBatchSize;
+
+  auto store = HistoryStore::Open({.snapshot_path = dir + "/missing/s.hwss",
+                                   .wal_path = wal,
+                                   .checkpoint_wal_bytes = 4096});
+  ASSERT_TRUE(store.ok()) << store.status();
+  graph::Graph graph;
+  access::GraphAccess backend(&graph, nullptr);
+  access::SharedAccessGroup group(
+      &backend, {.cache = {.num_shards = 8}, .journal = store->get()});
+  for (uint32_t round = 0; round < kRounds; ++round) {
+    util::ParallelFor(
+        kThreads,
+        [&](size_t t) {
+          std::vector<std::vector<graph::NodeId>> lists(kBatchSize);
+          std::vector<access::HistoryCache::ImportEntry> batch(kBatchSize);
+          for (uint32_t b = 0; b < kBatches; ++b) {
+            for (uint32_t i = 0; i < kBatchSize; ++i) {
+              // Neighbouring threads overlap on half their ids, so some
+              // entries are resident and must not be journaled twice.
+              const auto v = static_cast<graph::NodeId>(
+                  round * kRoundIds + t * kBatches * kBatchSize / 2 +
+                  b * kBatchSize + i);
+              lists[i] = {v + 1, v + 5, v + 9};
+              batch[i] = {v, lists[i]};
+            }
+            group.StoreFetchedBatch(batch);
+          }
+        },
+        kThreads);
+
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.is_regular_file()) files.push_back(entry.path().string());
+    }
+    uint64_t records = 0;
+    access::HistoryCache replayed({.num_shards = 8});
+    for (const std::string& file : files) {
+      auto scan = ScanWal(file);
+      ASSERT_TRUE(scan.ok()) << file << ": " << scan.status();
+      EXPECT_FALSE(scan->torn_tail) << file;
+      records += scan->valid_records;
+      ASSERT_TRUE(ReplayWal(file, replayed).ok());
+    }
+    const uint64_t inserted = group.cache().stats().entries;
+    ASSERT_EQ(records, inserted) << "round " << round;
+    ASSERT_EQ(replayed.stats().entries, inserted) << "round " << round;
+    ASSERT_EQ(HistoryStoreTestPeer::QueuedRecords(**store), 0u);
+    if (round + 1 == kRounds) {
+      EXPECT_GT(files.size(), 1u) << "no rotation tripped";
+    }
+  }
+  const HistoryStoreStats stats = (*store)->stats();
+  EXPECT_EQ(stats.appended_records, group.cache().stats().entries);
+  EXPECT_EQ(stats.append_failures, 0u);
+  store->reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(HistoryStoreTest, FlushAndCheckpointDrainBehindAnActiveWriter) {
+  // While another thread holds the writer role, journal calls return at
+  // once and leave their records queued; Flush() and Checkpoint() must
+  // write them before returning.
+  const std::string snap = TempPath("hs_drain.hwss");
+  const std::string wal = TempPath("hs_drain.hwwl");
+  auto store = HistoryStore::Open(
+      {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
+  ASSERT_TRUE(store.ok()) << store.status();
+  access::HistoryCache cache({.num_shards = 4});
+  auto insert = [&](graph::NodeId v) {
+    const std::vector<graph::NodeId> neighbors{v + 1, v + 2};
+    cache.Put(v, neighbors, nullptr);
+    (*store)->OnCacheInsert(v, neighbors, cache);
+  };
+  auto records_in_wal = [&]() -> uint64_t {
+    auto scan = ScanWal(wal);
+    EXPECT_TRUE(scan.ok()) << scan.status();
+    return scan.ok() ? scan->valid_records : UINT64_MAX;
+  };
+
+  HistoryStoreTestPeer::SetWriterRole(**store, true);
+  for (graph::NodeId v = 0; v < 3; ++v) insert(v);
+  EXPECT_EQ(HistoryStoreTestPeer::QueuedRecords(**store), 3u);
+  EXPECT_EQ(records_in_wal(), 0u);
+  ASSERT_TRUE((*store)->Flush().ok());
+  EXPECT_EQ(HistoryStoreTestPeer::QueuedRecords(**store), 0u);
+  EXPECT_EQ(records_in_wal(), 3u);
+
+  for (graph::NodeId v = 3; v < 5; ++v) insert(v);
+  EXPECT_EQ(HistoryStoreTestPeer::QueuedRecords(**store), 2u);
+  ASSERT_TRUE((*store)->Checkpoint(cache).ok());
+  // Drained into the WAL, then folded into the snapshot with it.
+  EXPECT_EQ(HistoryStoreTestPeer::QueuedRecords(**store), 0u);
+  EXPECT_EQ(records_in_wal(), 0u);
+  HistoryStoreTestPeer::SetWriterRole(**store, false);
+  EXPECT_EQ((*store)->stats().appended_records, 5u);
+
+  auto reopened = HistoryStore::Open(
+      {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
+  ASSERT_TRUE(reopened.ok());
+  access::HistoryCache rebuilt({.num_shards = 4});
+  ASSERT_TRUE((*reopened)->LoadInto(rebuilt).ok());
+  EXPECT_EQ(rebuilt.stats().entries, 5u);
 }
 
 }  // namespace

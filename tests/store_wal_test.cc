@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "access/graph_access.h"
+#include "access/shared_access.h"
+#include "graph/graph.h"
+#include "store/format.h"
+#include "store/history_store.h"
+#include "util/crc32.h"
 #include "util/status.h"
 
 namespace histwalk::store {
@@ -44,6 +52,96 @@ util::Status AppendSequence(const std::string& path, graph::NodeId from,
     HW_RETURN_IF_ERROR((*writer)->Append(v, List({v + 1, v + 2})));
   }
   return (*writer)->Flush();
+}
+
+// The record format written one field at a time, as the on-disk layout in
+// store/wal.h describes it: the reference the group encoder must match.
+void ReferenceRecord(graph::NodeId v, const std::vector<graph::NodeId>& nbrs,
+                     std::string& out) {
+  std::string payload;
+  AppendU32(payload, v);
+  AppendU32(payload, static_cast<uint32_t>(nbrs.size()));
+  for (graph::NodeId n : nbrs) AppendU32(payload, n);
+  AppendU32(out, static_cast<uint32_t>(payload.size()));
+  AppendU32(out, util::Crc32(payload));
+  out += payload;
+}
+
+std::string ReferenceHeader() {
+  std::string header;
+  AppendU32(header, kWalMagic);
+  AppendU32(header, kFormatVersion);
+  return header;
+}
+
+// Records of varied shape: empty lists, long lists, high bits set.
+std::vector<std::pair<graph::NodeId, std::vector<graph::NodeId>>>
+VariedRecords() {
+  std::vector<std::pair<graph::NodeId, std::vector<graph::NodeId>>> records;
+  for (graph::NodeId v = 0; v < 40; ++v) {
+    std::vector<graph::NodeId> nbrs;
+    for (graph::NodeId d = 0; d < (v * 7) % 23; ++d) {
+      nbrs.push_back(0x80000000u ^ (v * 2654435761u + d));
+    }
+    records.emplace_back(v * 3 + 1, std::move(nbrs));
+  }
+  return records;
+}
+
+TEST(WalTest, GroupWritesMatchTheReferenceEncoder) {
+  const auto records = VariedRecords();
+  std::string expected = ReferenceHeader();
+  for (const auto& [v, nbrs] : records) ReferenceRecord(v, nbrs, expected);
+
+  // Groups of 1, 2, 3, ... records; the bytes depend only on record order.
+  const std::string path = TempPath("wal_groups.hwwl");
+  {
+    auto writer = WalWriter::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    std::string group;
+    size_t next = 0;
+    for (size_t size = 1; next < records.size(); ++size) {
+      group.clear();
+      const size_t end = std::min(records.size(), next + size);
+      for (; next < end; ++next) {
+        WalWriter::EncodeRecord(records[next].first, records[next].second,
+                                group);
+      }
+      ASSERT_TRUE((*writer)->WriteGroup(group, size).ok());
+    }
+    EXPECT_EQ((*writer)->file_bytes(), expected.size());
+  }
+  EXPECT_EQ(ReadBytes(path), expected);
+}
+
+TEST(WalTest, StoreBatchPathWritesTheReferenceBytes) {
+  // StoreFetchedBatch -> HistoryStore group commit -> WAL: the file holds
+  // exactly the inserted entries, in batch order, reference-encoded.
+  const auto records = VariedRecords();
+  const std::string wal = TempPath("wal_store_batch.hwwl");
+  const std::string snap = TempPath("wal_store_batch.hwss");
+  graph::Graph graph;
+  access::GraphAccess backend(&graph, nullptr);
+  std::string expected = ReferenceHeader();
+  {
+    auto store = HistoryStore::Open(
+        {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
+    ASSERT_TRUE(store.ok()) << store.status();
+    access::SharedAccessGroup group(&backend, {.journal = store->get()});
+    std::vector<access::HistoryCache::ImportEntry> batch;
+    for (size_t i = 0; i < records.size(); ++i) {
+      batch.push_back({records[i].first, records[i].second});
+      // Every third entry repeats the previous one: resident, not journaled.
+      if (i % 3 == 2) batch.push_back(batch[batch.size() - 2]);
+      if (batch.size() >= 7 || i + 1 == records.size()) {
+        group.StoreFetchedBatch(batch);
+        batch.clear();
+      }
+      ReferenceRecord(records[i].first, records[i].second, expected);
+    }
+    EXPECT_EQ((*store)->stats().appended_records, records.size());
+  }
+  EXPECT_EQ(ReadBytes(wal), expected);
 }
 
 TEST(WalTest, AppendThenReplayRestoresEveryRecord) {
