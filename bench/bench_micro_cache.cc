@@ -226,7 +226,7 @@ std::vector<graph::NodeId> ContendedPayload(graph::NodeId v) {
 }
 
 // Hit path under contention, clock design: shared lock + flat-index probe +
-// atomic ref bit, one Get per step.
+// atomic reference count, one Get per step.
 void BM_ContendedGetHitClock(benchmark::State& state) {
   static access::HistoryCache* cache = nullptr;
   if (state.thread_index() == 0) {

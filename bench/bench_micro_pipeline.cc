@@ -166,7 +166,8 @@ void BM_AsyncEnsembleRateLimited(benchmark::State& state) {
 }
 
 BENCHMARK(BM_AsyncEnsembleRateLimited)->Arg(1)->Arg(4)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -7,6 +7,54 @@
 #include "util/check.h"
 
 namespace histwalk::access {
+namespace {
+
+// A batch's positions grouped by shard: shard s's positions, in batch
+// order, are order[s == 0 ? 0 : ends[s-1] .. ends[s]).
+struct ShardGroups {
+  std::vector<uint32_t> order;     // positions, shard by shard
+  std::vector<uint32_t> shard_of;  // shard of each position
+  std::vector<uint32_t> ends;      // end of shard s's run in `order`
+};
+
+// Groups positions [0, n), n >= 1, of a batch, where position i belongs to
+// shard shard_at(i) < num_shards. Returns that shard when every position
+// shares one (the one-shard fast path; `*groups` is then left unset).
+// Otherwise returns num_shards and points `*groups` at a stable counting
+// sort. The sort runs in thread-local scratch: landed batches run on the
+// steppers, so at steady state grouping allocates nothing.
+template <typename ShardAt>
+uint32_t GroupByShard(size_t n, uint32_t num_shards, ShardAt shard_at,
+                      const ShardGroups** groups) {
+  thread_local ShardGroups scratch;
+  scratch.shard_of.resize(n);
+  scratch.ends.assign(num_shards, 0);
+  // Counting pass; shard_of caches each position's hash for placement.
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t s = shard_at(i);
+    scratch.shard_of[i] = s;
+    ++scratch.ends[s];
+  }
+  const uint32_t first = scratch.shard_of[0];
+  if (scratch.ends[first] == n) return first;
+  uint32_t running = 0;
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    const uint32_t count = scratch.ends[s];
+    scratch.ends[s] = running;
+    running += count;
+  }
+  // Placement pass: advances ends[s] from the start to the end of shard
+  // s's run.
+  scratch.order.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    scratch.order[scratch.ends[scratch.shard_of[i]]++] =
+        static_cast<uint32_t>(i);
+  }
+  *groups = &scratch;
+  return num_shards;
+}
+
+}  // namespace
 
 HistoryCache::HistoryCache(HistoryCacheOptions options) : options_(options) {
   num_shards_ = options_.num_shards == 0 ? 1 : options_.num_shards;
@@ -107,10 +155,10 @@ HistoryCache::Entry HistoryCache::Get(graph::NodeId v) {
     shard.misses.fetch_add(1, std::memory_order_relaxed);
     return Entry();
   }
-  // The whole recency update: one relaxed store, no exclusive lock, no
-  // list manipulation. The sweeping hand (under the exclusive lock) clears
-  // it and grants the second chance.
-  slot->ref.store(1, std::memory_order_relaxed);
+  // The whole recency update: at most one relaxed store, no exclusive
+  // lock, no list manipulation. The sweeping hand (under the exclusive
+  // lock) wears the count down one pass at a time.
+  Touch(*slot);
   shard.hits.fetch_add(1, std::memory_order_relaxed);
   return slot->entry;
 }
@@ -128,12 +176,16 @@ void HistoryCache::GetBatch(std::span<const graph::NodeId> ids, Entry* out) {
       slot_out = Entry();
       return;
     }
-    slot->ref.store(1, std::memory_order_relaxed);
+    Touch(*slot);
     ++hits;
     slot_out = slot->entry;
   };
-  if (num_shards_ == 1) {
-    Shard& shard = shards_[0];
+  const ShardGroups* groups = nullptr;
+  const uint32_t only = GroupByShard(
+      n, num_shards_, [&](size_t i) { return ShardIndexOf(ids[i]); },
+      &groups);
+  if (only != num_shards_) {
+    Shard& shard = shards_[only];
     std::shared_lock<util::RwSpinLock> lock(shard.mu);
     uint64_t hits = 0, misses = 0;
     for (size_t i = 0; i < n; ++i) lookup(shard, ids[i], out[i], hits, misses);
@@ -141,48 +193,12 @@ void HistoryCache::GetBatch(std::span<const graph::NodeId> ids, Entry* out) {
     if (misses != 0) shard.misses.fetch_add(misses, std::memory_order_relaxed);
     return;
   }
-  // Group positions by shard so each touched shard's lock is taken once.
-  // In-place counting sort over thread-local scratch: this is the walkers'
-  // hot path, so at steady state a batch allocates nothing. shard_of
-  // caches the hash from the counting pass as one byte per id; after the
-  // placement pass, offsets[s] has been advanced to the END of shard s's
-  // run, so the run for shard s is [s == 0 ? 0 : offsets[s-1], offsets[s]).
-  thread_local std::vector<uint32_t> order;
-  thread_local std::vector<uint8_t> shard_of;
-  thread_local std::vector<uint32_t> offsets;
-  order.resize(n);
-  shard_of.resize(n);
-  offsets.assign(num_shards_, 0);
-  if (num_shards_ <= 256) {
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t s = ShardIndexOf(ids[i]);
-      shard_of[i] = static_cast<uint8_t>(s);
-      ++offsets[s];
-    }
-  } else {
-    // Byte cache can't hold the shard id; recompute in the placement pass.
-    for (size_t i = 0; i < n; ++i) ++offsets[ShardIndexOf(ids[i])];
-  }
-  uint32_t running = 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    const uint32_t count = offsets[s];
-    offsets[s] = running;
-    running += count;
-  }
-  if (num_shards_ <= 256) {
-    for (size_t i = 0; i < n; ++i) {
-      order[offsets[shard_of[i]]++] = static_cast<uint32_t>(i);
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      order[offsets[ShardIndexOf(ids[i])]++] = static_cast<uint32_t>(i);
-    }
-  }
+  const std::vector<uint32_t>& order = groups->order;
   thread_local std::vector<Slot*> run;
   run.resize(n);
   uint32_t begin = 0;
   for (uint32_t s = 0; s < num_shards_; ++s) {
-    const uint32_t end = offsets[s];
+    const uint32_t end = groups->ends[s];
     if (begin == end) continue;
     Shard& shard = shards_[s];
     std::shared_lock<util::RwSpinLock> lock(shard.mu);
@@ -203,7 +219,7 @@ void HistoryCache::GetBatch(std::span<const graph::NodeId> ids, Entry* out) {
         out[i] = Entry();
         continue;
       }
-      slot->ref.store(1, std::memory_order_relaxed);
+      Touch(*slot);
       ++hits;
       out[i] = slot->entry;
     }
@@ -221,22 +237,31 @@ HistoryCache::Entry HistoryCache::PutLocked(
     // Lost a fetch race with another walker; keep the resident entry and
     // treat the duplicate store as a touch.
     if (inserted != nullptr) *inserted = false;
-    resident->ref.store(1, std::memory_order_relaxed);
+    Touch(*resident);
     return resident->entry;
   }
   Entry entry = Entry::Copy(neighbors);
   const uint64_t entry_bytes = EntryBytes(*entry);
+  const uint8_t level = LevelOf(neighbors.size());
+  // New entries start one below their level: an un-hit entry of degree d
+  // survives d - 1 passes of the hand, so a one-element list is
+  // reclaimable on the first pass, same as an un-hit LRU entry.
+  const uint8_t initial_ref = level - 1;
   if (shard_capacity_ != 0 && shard.ring.size() >= shard_capacity_) {
-    // CLOCK sweep: advance the hand, clearing reference bits, until an
-    // unreferenced victim turns up. Terminates within one full lap plus
-    // one step: every visited slot is cleared, so revisiting the start
-    // finds it unreferenced.
+    // GCLOCK sweep: advance the hand, decrementing reference counts, until
+    // a zero count turns up. Readers are excluded, so a count cannot rise
+    // behind the hand; every count is at most kMaxLevel, so the sweep ends
+    // within kMaxLevel laps plus one step.
     HW_PROF_SCOPE("cache/sweep");
     const uint32_t ring_size = static_cast<uint32_t>(shard.ring.size());
     uint32_t pos = shard.hand;
     uint64_t steps = 0;
-    while (shard.ring[pos]->ref.exchange(0, std::memory_order_relaxed) != 0) {
-      pos = (pos + 1) % ring_size;
+    for (;;) {
+      std::atomic<uint8_t>& ref = shard.ring[pos]->ref;
+      const uint8_t count = ref.load(std::memory_order_relaxed);
+      if (count == 0) break;
+      ref.store(count - 1, std::memory_order_relaxed);
+      if (++pos == ring_size) pos = 0;
       ++steps;
     }
     shard.sweep.Record(steps);
@@ -244,11 +269,11 @@ HistoryCache::Entry HistoryCache::PutLocked(
     shard.index.Erase(victim.key);
     shard.bytes -= victim.bytes;
     ++shard.evictions;
-    // New entries start unreferenced: untouched-since-insert entries are
-    // reclaimable after one lap, same as an un-hit LRU entry.
     victim.key = v;
     victim.entry = std::move(entry);
     victim.bytes = entry_bytes;
+    victim.level = level;
+    victim.ref.store(initial_ref, std::memory_order_relaxed);
     shard.index.Insert(v, &victim);
     shard.hand = (pos + 1) % ring_size;
     shard.bytes += entry_bytes;
@@ -260,6 +285,8 @@ HistoryCache::Entry HistoryCache::PutLocked(
   slot->key = v;
   slot->entry = std::move(entry);
   slot->bytes = entry_bytes;
+  slot->level = level;
+  slot->ref.store(initial_ref, std::memory_order_relaxed);
   Slot& stored = *slot;
   shard.index.Insert(v, &stored);
   shard.ring.push_back(std::move(slot));
@@ -300,26 +327,39 @@ std::vector<HistoryCache::ExportedEntry> HistoryCache::ExportShard(
 
 uint64_t HistoryCache::PutBatch(std::span<const ImportEntry> entries,
                                 Entry* out_entries, bool* inserted) {
-  // Group by shard first so each touched shard's exclusive lock is taken
-  // once, then insert each group in its original order (preserving clock
-  // order reconstruction for per-shard inputs).
-  std::vector<std::vector<size_t>> by_shard(num_shards_);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    by_shard[ShardIndexOf(entries[i].node)].push_back(i);
-  }
+  const size_t n = entries.size();
+  if (n == 0) return 0;
   uint64_t new_entries = 0;
+  // Lands position i in `shard`, whose exclusive lock the caller holds.
+  auto land = [&](Shard& shard, size_t i) {
+    bool was_inserted = false;
+    Entry entry = PutLocked(shard, entries[i].node, entries[i].neighbors,
+                            &was_inserted);
+    if (was_inserted) ++new_entries;
+    if (out_entries != nullptr) out_entries[i] = std::move(entry);
+    if (inserted != nullptr) inserted[i] = was_inserted;
+  };
+  // Group by shard so each touched shard's exclusive lock is taken once,
+  // then insert each group in its original order (preserving clock order
+  // reconstruction for per-shard inputs).
+  const ShardGroups* groups = nullptr;
+  const uint32_t only = GroupByShard(
+      n, num_shards_, [&](size_t i) { return ShardIndexOf(entries[i].node); },
+      &groups);
+  if (only != num_shards_) {
+    Shard& shard = shards_[only];
+    std::unique_lock<util::RwSpinLock> lock(shard.mu);
+    for (size_t i = 0; i < n; ++i) land(shard, i);
+    return new_entries;
+  }
+  uint32_t begin = 0;
   for (uint32_t s = 0; s < num_shards_; ++s) {
-    if (by_shard[s].empty()) continue;
+    const uint32_t end = groups->ends[s];
+    if (begin == end) continue;
     Shard& shard = shards_[s];
     std::unique_lock<util::RwSpinLock> lock(shard.mu);
-    for (size_t i : by_shard[s]) {
-      bool was_inserted = false;
-      Entry entry = PutLocked(shard, entries[i].node, entries[i].neighbors,
-                              &was_inserted);
-      if (was_inserted) ++new_entries;
-      if (out_entries != nullptr) out_entries[i] = std::move(entry);
-      if (inserted != nullptr) inserted[i] = was_inserted;
-    }
+    for (uint32_t j = begin; j < end; ++j) land(shard, groups->order[j]);
+    begin = end;
   }
   return new_entries;
 }
@@ -327,8 +367,8 @@ uint64_t HistoryCache::PutBatch(std::span<const ImportEntry> entries,
 bool HistoryCache::Contains(graph::NodeId v) const {
   const Shard& shard = shards_[ShardIndexOf(v)];
   std::shared_lock<util::RwSpinLock> lock(shard.mu);
-  // Deliberately no counter bumps and no reference-bit mark: Contains must
-  // not make an entry look recently used or skew hit-rate stats.
+  // Deliberately no counter bumps and no reference-count mark: Contains
+  // must not make an entry look recently used or skew hit-rate stats.
   return shard.index.Find(v) != nullptr;
 }
 

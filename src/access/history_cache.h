@@ -17,30 +17,45 @@
 // GraphAccess to a first-class subsystem.
 //
 // The cache is sharded: a node id maps to a shard by a fixed multiplicative
-// hash, and each shard runs an independent CLOCK (second-chance) ring under
+// hash, and each shard runs an independent degree-weighted CLOCK ring under
 // its own lock, so concurrent walkers sharing one cache contend only per
 // shard. Entries are handed out as pinned util::BlockRef handles — one
 // refcounted allocation per response; eviction drops the cache's reference
 // while any walker still holding the handle keeps its span valid — the
 // analogue of page pinning in a buffer pool.
 //
+// Retention is weighted by the walk's stationary distribution. SRW, CNRW,
+// NB-CNRW and GNRW all keep pi(v) proportional to deg(v) (the source paper's
+// theorems), so a node's degree predicts how often any walker comes back to
+// query it again. Each entry carries a level, clamp(|N(v)|, 1, 31) — its
+// own list length, so the cache needs no walker or graph input — and a
+// multi-bit reference count (GCLOCK):
+//   * a new entry starts at level - 1;
+//   * a hit raises the count to the level (test first, store only if
+//     lower, so a resident entry at its level costs the hit no write);
+//   * the sweeping hand, under the exclusive lock, evicts a count of 0 and
+//     decrements anything else.
+// One eviction therefore takes at most 31 laps plus one step, and the
+// amortized sweep is bounded by the credit hits and inserts hand out. A
+// one-element list has level 1, which is exactly one-bit second-chance
+// CLOCK. The weight assumes a walk with pi ~ deg; a Metropolis-Hastings
+// walk (uniform pi) gains nothing from it.
+//
 // The hit path is read-mostly by design. An earlier revision refreshed a
 // strict-LRU list on every Get, which meant an exclusive mutex and a list
 // splice per hit; once shared history absorbs most wire fetches (the whole
 // point of the paper), that exclusive lock became the measured bottleneck
-// under multi-walker and multi-tenant load. Get now takes the shard lock in
+// under multi-walker and multi-tenant load. Get takes the shard lock in
 // SHARED mode — any number of concurrent hits proceed in parallel — and
-// records recency by setting a per-entry atomic reference bit. Only writers
-// (Put / eviction / Clear / BulkPut) take the lock exclusively, and the
-// clock hand gives every referenced entry a second chance before evicting,
-// approximating LRU with no per-hit mutation beyond one relaxed atomic
-// store. The key -> slot index is a flat open-addressed table (power-of-two
-// capacity, linear probing, backward-shift deletion) rather than a node-
-// based hash map: a hit probes one contiguous cell array instead of chasing
-// bucket pointers through a prime-modulo map, which is most of the
-// single-threaded win. bench_micro_cache's contended mode measures the
-// difference against the retained splice-LRU baseline;
-// scripts/bench_report.py records it in BENCH_cache.json.
+// records recency in the per-entry atomic reference count. Only writers
+// (Put / eviction / Clear / BulkPut) take the lock exclusively. The key ->
+// slot index is a flat open-addressed table (power-of-two capacity, linear
+// probing, backward-shift deletion) rather than a node-based hash map: a
+// hit probes one contiguous cell array instead of chasing bucket pointers
+// through a prime-modulo map, which is most of the single-threaded win.
+// bench_micro_cache's contended mode measures the difference against the
+// retained splice-LRU baseline; scripts/bench_report.py records it in
+// BENCH_cache.json.
 //
 // `capacity` bounds the number of cached responses (0 = unbounded, the
 // seed's behaviour). The bound is enforced per shard (ceil(capacity /
@@ -112,32 +127,33 @@ class HistoryCache {
   HistoryCache(const HistoryCache&) = delete;
   HistoryCache& operator=(const HistoryCache&) = delete;
 
-  // Looks up the response for `v`, marking its clock reference bit (the
-  // second-chance recency signal). Returns a null handle on miss. Thread-
-  // safe and lock-light: hits share the shard lock with each other and
-  // never exclude other readers; hit/miss counters are exact under
-  // concurrency.
+  // Looks up the response for `v`, raising its clock reference count to
+  // its level (the recency signal; a count already at its level is left
+  // unwritten). Returns a null handle on miss. Thread-safe and lock-light:
+  // hits share the shard lock with each other and never exclude other
+  // readers; hit/miss counters are exact under concurrency.
   Entry Get(graph::NodeId v);
 
   // Batched Get: `out[i]` receives the entry for `ids[i]` (null on miss).
   // Lookups are grouped by shard and each touched shard's lock is acquired
   // once in shared mode for its whole group — the batch-stepping analogue
-  // of BulkPut. Hit/miss accounting and reference-bit marking match
+  // of BulkPut. Hit/miss accounting and reference-count marking match
   // one-at-a-time Get exactly. `out` must have ids.size() elements.
   void GetBatch(std::span<const graph::NodeId> ids, Entry* out);
 
   // Stores the response for `v`, evicting via the shard's clock hand if the
-  // shard is full. If `v` is already resident the existing entry is
-  // returned unchanged with its reference bit set (idempotent under
-  // concurrent double-fetch). Thread-safe. `inserted`, when non-null,
-  // reports whether this call created a new entry (false = the id was
-  // already resident) — the signal the journaling layer uses to log each
-  // response exactly once.
+  // shard is full; the new entry's reference count starts at its level
+  // minus one. If `v` is already resident the existing entry is returned
+  // unchanged and touched like a hit (idempotent under concurrent
+  // double-fetch). Thread-safe. `inserted`, when non-null, reports whether
+  // this call created a new entry (false = the id was already resident) —
+  // the signal the journaling layer uses to log each response exactly
+  // once.
   Entry Put(graph::NodeId v, std::span<const graph::NodeId> neighbors,
             bool* inserted = nullptr);
 
   // Membership probe with NO side effects of any kind: no stats counters,
-  // no reference-bit marking, no eviction-order perturbation. Probing a
+  // no reference-count marking, no eviction-order perturbation. Probing a
   // would-be victim with Contains() leaves it exactly as evictable as
   // before — the guarantee the pipeline's late-hit probe relies on.
   bool Contains(graph::NodeId v) const;
@@ -150,7 +166,7 @@ class HistoryCache {
   // shard's writer-side counters (insertions/evictions/entries/bytes) are
   // snapshotted under that shard's lock, but shards are read one after
   // another, so the aggregate is NOT a point-in-time snapshot of the whole
-  // cache. Reading stats perturbs nothing (no reference bits, no
+  // cache. Reading stats perturbs nothing (no reference counts, no
   // counters). What IS guaranteed, because every per-shard snapshot is
   // internally consistent:
   //   * entries == insertions - evictions, as long as Clear() has not been
@@ -196,16 +212,18 @@ class HistoryCache {
   // Point-in-time snapshot of one shard, taken under that shard's lock, so
   // it is internally consistent even while other threads insert. Entries
   // come out in CLOCK order starting at the hand — the next eviction
-  // candidate first (the contract used to be strict-LRU order; with the
-  // second-chance design, ring position is the recency structure and
-  // reference bits are deliberately not exported). Replaying the export
-  // through Put() in order reconstructs the ring with the hand normalized
-  // to slot 0, so a BulkPut round-trip reproduces residency and the
-  // eviction scan order exactly; only un-exported reference bits (a
-  // one-lap grace, at most) differ. Shards are exported independently, so
-  // a whole-cache export under concurrent writers is a per-shard-consistent
-  // prefix, not a global point-in-time snapshot — the same contract as
-  // stats().
+  // candidate to be examined first (ring position is the recency
+  // structure; reference counts are deliberately not exported). Replaying
+  // the export through Put() in order reconstructs the ring with the hand
+  // normalized to slot 0, so a BulkPut round-trip reproduces residency and
+  // the scan order exactly, and reseeds every count from its list length
+  // (level - 1, as for any insert). Only the counts differ, by at most 30
+  // laps of the hand: the source's count lies anywhere in [0, level] (0
+  // for an entry the hand has worn down, the level for one just hit),
+  // while the replay grants level - 1 <= 30. Shards are exported
+  // independently, so a whole-cache export under concurrent writers is a
+  // per-shard-consistent prefix, not a global point-in-time snapshot — the
+  // same contract as stats().
   std::vector<ExportedEntry> ExportShard(uint32_t shard) const;
 
   // A (node, neighbors) pair headed into the cache from a store load.
@@ -217,12 +235,15 @@ class HistoryCache {
   // Batched Put: entries are grouped by shard and each touched shard's
   // group lands under a single exclusive lock acquisition, in the order
   // given — feed a shard's ExportShard() output to reproduce its clock
-  // order exactly. Per-entry results mirror Put(): when non-null,
-  // `out_entries[i]` receives the pinned handle (resident or fresh) and
-  // `inserted[i]` whether entry i was genuinely new; both must then have
-  // entries.size() elements. Counted as insertions, so the
-  // entries == insertions - evictions identity is preserved. Returns the
-  // number of entries that were actually new. Thread-safe.
+  // order exactly. Grouping runs on thread-local scratch and a one-shard
+  // batch (the pipeline's, drained from one shard's queue) skips it, so a
+  // landed batch allocates only its entries' blocks. Per-entry results
+  // mirror Put(): when non-null, `out_entries[i]` receives the pinned
+  // handle (resident or fresh) and `inserted[i]` whether entry i was
+  // genuinely new; both must then have entries.size() elements. Counted
+  // as insertions, so the entries == insertions - evictions identity is
+  // preserved. Returns the number of entries that were actually new.
+  // Thread-safe.
   uint64_t PutBatch(std::span<const ImportEntry> entries,
                     Entry* out_entries = nullptr, bool* inserted = nullptr);
 
@@ -233,13 +254,21 @@ class HistoryCache {
   }
 
  private:
-  // One clock-ring position. `ref` is the second-chance bit: set by Get
-  // (and by a resident Put) under the SHARED lock, cleared and consumed by
-  // the sweeping hand under the exclusive lock — hence atomic.
+  // Highest retention level: a list of 31 or more neighbors survives up to
+  // 31 passes of the hand after its last hit.
+  static constexpr uint8_t kMaxLevel = 31;
+
+  // One clock-ring position. `ref` is the multi-bit reference count:
+  // raised to `level` by Get (and by a resident Put) under the SHARED lock,
+  // decremented and consumed by the sweeping hand under the exclusive lock
+  // — hence atomic. `level` is clamp(|N(v)|, 1, kMaxLevel), written only
+  // under the exclusive lock when the slot takes a new entry; it sits in
+  // the padding byte beside `ref`.
   struct Slot {
     graph::NodeId key = 0;
     Entry entry;
     std::atomic<uint8_t> ref{0};
+    uint8_t level = 1;
     uint64_t bytes = 0;  // EntryBytes at insert, for O(1) evict accounting
   };
 
@@ -314,6 +343,20 @@ class HistoryCache {
   };
 
   static uint64_t EntryBytes(const util::ArrayBlock<graph::NodeId>& block);
+
+  // Retention level of a list of `degree` neighbors (see kMaxLevel).
+  static uint8_t LevelOf(size_t degree) {
+    return static_cast<uint8_t>(
+        degree < 1 ? 1 : (degree > kMaxLevel ? kMaxLevel : degree));
+  }
+
+  // A hit's recency update: raise `slot`'s count to its level. The test
+  // comes first so an entry already at its level costs the hit no store.
+  static void Touch(Slot& slot) {
+    if (slot.ref.load(std::memory_order_relaxed) < slot.level) {
+      slot.ref.store(slot.level, std::memory_order_relaxed);
+    }
+  }
 
   // Insert under an already-held exclusive shard lock (shared by Put and
   // PutBatch).

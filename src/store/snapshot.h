@@ -24,8 +24,9 @@
 // at the eviction hand (HistoryCache::ExportShard) — next eviction
 // candidate first — so loading into a cache with the same shard count
 // reproduces residency and the eviction scan order, with the hand
-// normalized to slot 0 (clock reference bits are not persisted; they are
-// at most a one-lap grace).
+// normalized to slot 0. Clock reference counts are not persisted: the load
+// reseeds each from its list length (level - 1, as for any insert), which
+// differs from the saved count by at most 30 laps of the hand.
 //
 // Crash safety: WriteSnapshot writes to `path`.tmp and renames, so `path`
 // always holds either the previous complete snapshot or the new one, never

@@ -117,6 +117,37 @@ TEST(ApiEquivalenceTest, InlineMatchesManualUnderBoundedCache) {
   EXPECT_EQ(manual->charged_queries, facade.charged_queries);
 }
 
+// Retention decides only what is billed again, never where a walk goes: a
+// capacity-64 cache that evicts all through the run walks exactly the
+// traces of an unbounded one and can only bill more.
+TEST(ApiEquivalenceTest, EvictionNeverMovesTheWalk) {
+  graph::Graph graph = TestGraph();
+  auto run = [&](uint64_t capacity) {
+    return FacadeRun(SamplerBuilder()
+                         .OverGraph(&graph)
+                         .WithCache({.capacity = capacity, .num_shards = 4})
+                         .RunInline()
+                         .WithWalker({.type = core::WalkerType::kCnrw})
+                         .WithEnsemble(kWalkers, kSeed)
+                         .StopAfterSteps(kSteps));
+  };
+  RunReport unbounded = run(0);
+  RunReport bounded = run(64);
+  EXPECT_EQ(unbounded.ensemble.cache_stats.evictions, 0u);
+  EXPECT_GT(bounded.ensemble.cache_stats.evictions, 0u);
+  ASSERT_EQ(bounded.ensemble.starts, unbounded.ensemble.starts);
+  ASSERT_EQ(bounded.ensemble.traces.size(), unbounded.ensemble.traces.size());
+  for (size_t i = 0; i < bounded.ensemble.traces.size(); ++i) {
+    EXPECT_EQ(bounded.ensemble.traces[i].nodes,
+              unbounded.ensemble.traces[i].nodes)
+        << "walker " << i;
+    EXPECT_EQ(bounded.ensemble.traces[i].degrees,
+              unbounded.ensemble.traces[i].degrees)
+        << "walker " << i;
+  }
+  EXPECT_GE(bounded.charged_queries, unbounded.charged_queries);
+}
+
 // ---- pipelined mode ---------------------------------------------------
 
 TEST(ApiEquivalenceTest, PipelinedMatchesManualPipelineAtEveryDepth) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <list>
 #include <unordered_map>
@@ -14,6 +15,38 @@ namespace {
 
 std::vector<graph::NodeId> List(std::initializer_list<graph::NodeId> ids) {
   return std::vector<graph::NodeId>(ids);
+}
+
+// A neighbor list of `degree` entries.
+std::vector<graph::NodeId> OfDegree(size_t degree) {
+  return std::vector<graph::NodeId>(degree, 0);
+}
+
+// The mixed-length payload of node `v` in the concurrent tests: 1 + v % 40
+// consecutive ids starting at v, so lengths straddle the level cap of 31
+// and a torn or mismatched handle is detectable from its contents alone.
+constexpr graph::NodeId kMaxRampLength = 40;
+std::vector<graph::NodeId> Ramp(graph::NodeId v) {
+  std::vector<graph::NodeId> list(1 + v % kMaxRampLength);
+  for (size_t i = 0; i < list.size(); ++i) {
+    list[i] = v + static_cast<graph::NodeId>(i);
+  }
+  return list;
+}
+
+// Counts the passes of the hand that resident `key` survives in a full
+// two-slot, one-shard cache whose hand sits on `key` and whose other slot
+// holds a one-element list: each Put of a fresh one-element list passes
+// the hand over `key` once (decrementing its count) and evicts the filler
+// behind it, until `key`'s count is worn down to zero and the next pass
+// evicts `key` itself.
+int PassesSurvived(HistoryCache& cache, graph::NodeId key,
+                   graph::NodeId& next_filler) {
+  for (int passes = 0; passes <= 64; ++passes) {
+    cache.Put(next_filler++, List({0}));
+    if (!cache.Contains(key)) return passes;
+  }
+  return -1;  // never evicted: the count is not bounded
 }
 
 TEST(HistoryCacheTest, GetMissThenPutThenHit) {
@@ -490,9 +523,191 @@ TEST(HistoryCacheTest, ClockHitRateTracksStrictLruWithinBand) {
   EXPECT_NEAR(clock_rate, lru_rate, 0.05);
 }
 
+// Degree-weighted retention: an entry's level is its list length, capped
+// at 31. An un-hit entry of degree d starts at count d - 1 and survives
+// exactly d - 1 passes of the hand; a one-element list is plain CLOCK.
+TEST(HistoryCacheTest, UnhitEntrySurvivesDegreeMinusOnePasses) {
+  for (size_t degree : {1u, 2u, 3u, 7u, 31u, 40u, 500u}) {
+    HistoryCache cache({.capacity = 2, .num_shards = 1});
+    cache.Put(1, OfDegree(degree));
+    cache.Put(2, List({0}));  // ring [1, 2], hand on 1
+    graph::NodeId filler = 100;
+    const int level = static_cast<int>(std::min<size_t>(degree, 31));
+    EXPECT_EQ(PassesSurvived(cache, 1, filler), level - 1)
+        << "degree " << degree;
+  }
+}
+
+TEST(HistoryCacheTest, HitRestoresEntryToItsLevel) {
+  for (graph::NodeId degree : {1u, 5u, 31u, 64u}) {
+    const int level = static_cast<int>(std::min<graph::NodeId>(degree, 31));
+    HistoryCache cache({.capacity = 2, .num_shards = 1});
+    cache.Put(1, OfDegree(degree));
+    cache.Put(2, List({0}));
+    graph::NodeId filler = 100;
+    // Wear the count down to zero (level - 1 passes), then hit: the count
+    // goes back to the full level, one more than at insert.
+    for (int pass = 0; pass < level - 1; ++pass) {
+      cache.Put(filler++, List({0}));
+      ASSERT_TRUE(cache.Contains(1)) << "degree " << degree;
+    }
+    EXPECT_NE(cache.Get(1), nullptr);
+    EXPECT_EQ(PassesSurvived(cache, 1, filler), level) << "degree " << degree;
+
+    // A resident Put is a touch too, and repeated hits do not stack past
+    // the level.
+    HistoryCache touched({.capacity = 2, .num_shards = 1});
+    touched.Put(1, OfDegree(degree));
+    touched.Put(2, List({0}));
+    for (int i = 0; i < 3; ++i) EXPECT_NE(touched.Get(1), nullptr);
+    bool inserted = true;
+    touched.Put(1, OfDegree(degree), &inserted);
+    EXPECT_FALSE(inserted);
+    EXPECT_EQ(PassesSurvived(touched, 1, filler), level)
+        << "degree " << degree;
+  }
+}
+
+// The sweep's bound: with every slot at the top level the hand decrements
+// each slot 31 times before the first one reaches zero, so one eviction
+// costs exactly 31 laps — and still happens.
+TEST(HistoryCacheTest, ShardAtTopLevelStillEvictsAfterBoundedSweep) {
+  constexpr uint64_t kCapacity = 4;
+  HistoryCache cache({.capacity = kCapacity, .num_shards = 1});
+  for (graph::NodeId v = 0; v < kCapacity; ++v) {
+    cache.Put(v, OfDegree(100));
+    EXPECT_NE(cache.Get(v), nullptr);  // count 31 everywhere
+  }
+  bool inserted = false;
+  cache.Put(99, List({0}), &inserted);
+  EXPECT_TRUE(inserted);
+  EXPECT_FALSE(cache.Contains(0));  // the hand's first slot went first
+  for (graph::NodeId v = 1; v < kCapacity; ++v) EXPECT_TRUE(cache.Contains(v));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  HistoryCacheShardHeat heat = cache.shard_heat(0);
+  EXPECT_EQ(heat.evictions, 1u);
+  EXPECT_EQ(heat.sweep.count, 1u);
+  EXPECT_EQ(heat.sweep.max, 31 * kCapacity);
+}
+
+// Reference counts are not persisted: a snapshot replay through BulkPut
+// reseeds each from its list length (level - 1), whether the source entry
+// had just been hit or had been worn down to zero by the hand.
+TEST(HistoryCacheTest, BulkPutReseedsCountsFromListLength) {
+  constexpr size_t kDegree = 4;
+  auto replay_passes = [](const HistoryCache& source) {
+    std::vector<HistoryCache::ExportedEntry> exported = source.ExportShard(0);
+    std::vector<HistoryCache::ImportEntry> imports;
+    for (const auto& e : exported) {
+      if (e.node != 1) continue;  // the degree-4 entry alone
+      imports.push_back({e.node, std::span<const graph::NodeId>(*e.neighbors)});
+    }
+    HistoryCache restored({.capacity = 2, .num_shards = 1});
+    EXPECT_EQ(restored.BulkPut(imports), 1u);
+    restored.Put(2, List({0}));  // ring [1, 2], hand on 1
+    graph::NodeId filler = 100;
+    return PassesSurvived(restored, 1, filler);
+  };
+
+  HistoryCache hit_source({.capacity = 0, .num_shards = 1});
+  hit_source.Put(1, OfDegree(kDegree));
+  EXPECT_NE(hit_source.Get(1), nullptr);  // count at the level, 4
+  EXPECT_EQ(replay_passes(hit_source), static_cast<int>(kDegree) - 1);
+
+  HistoryCache worn_source({.capacity = 2, .num_shards = 1});
+  worn_source.Put(1, OfDegree(kDegree));
+  worn_source.Put(2, List({0}));
+  graph::NodeId filler = 100;
+  for (size_t pass = 0; pass + 1 < kDegree; ++pass) {
+    worn_source.Put(filler++, List({0}));
+  }
+  ASSERT_TRUE(worn_source.Contains(1));  // count worn down to 0
+  EXPECT_EQ(replay_passes(worn_source), static_cast<int>(kDegree) - 1);
+}
+
+// Why the weight: a walk with pi ~ deg comes back to a node in proportion
+// to its degree. On a key stream drawn with probability proportional to
+// each key's list length, the degree-weighted cache must beat plain
+// one-bit CLOCK (kept here as a reference) by a tenth of its hit rate,
+// and with one-element lists it must BE plain CLOCK, hit for hit.
+TEST(HistoryCacheTest, DegreeWeightedClockBeatsOneBitClockOnStationaryStream) {
+  // One-bit second-chance CLOCK: the previous policy, single shard.
+  struct OneBitClock {
+    explicit OneBitClock(size_t c) : capacity(c) {}
+    size_t capacity;
+    std::vector<graph::NodeId> keys;
+    std::vector<uint8_t> ref;
+    std::unordered_map<graph::NodeId, size_t> slot_of;
+    size_t hand = 0;
+    uint64_t hits = 0, lookups = 0;
+    void GetOrInsert(graph::NodeId v) {
+      ++lookups;
+      auto it = slot_of.find(v);
+      if (it != slot_of.end()) {
+        ++hits;
+        ref[it->second] = 1;
+        return;
+      }
+      if (keys.size() < capacity) {
+        slot_of[v] = keys.size();
+        keys.push_back(v);
+        ref.push_back(0);
+        return;
+      }
+      while (ref[hand] != 0) {
+        ref[hand] = 0;
+        hand = (hand + 1) % capacity;
+      }
+      slot_of.erase(keys[hand]);
+      keys[hand] = v;
+      slot_of[v] = hand;
+      hand = (hand + 1) % capacity;
+    }
+  };
+
+  constexpr size_t kCapacity = 128;
+  constexpr uint32_t kKeys = 1024;
+  // Heavy-tailed degrees: most keys have a handful of neighbors, a few
+  // have dozens. Draws are proportional to degree via the cumulative sum.
+  util::Random rng(4321);
+  std::vector<size_t> degree(kKeys);
+  std::vector<double> cumulative(kKeys);
+  double total = 0.0;
+  for (uint32_t k = 0; k < kKeys; ++k) {
+    double u = rng.UniformDouble();
+    degree[k] = 1 + static_cast<size_t>(40.0 * u * u * u);
+    total += static_cast<double>(degree[k]);
+    cumulative[k] = total;
+  }
+
+  OneBitClock reference(kCapacity);
+  HistoryCache weighted({.capacity = kCapacity, .num_shards = 1});
+  HistoryCache unit({.capacity = kCapacity, .num_shards = 1});
+  for (int i = 0; i < 200000; ++i) {
+    const double x = rng.UniformDouble() * total;
+    const graph::NodeId v = static_cast<graph::NodeId>(
+        std::upper_bound(cumulative.begin(), cumulative.end(), x) -
+        cumulative.begin());
+    ASSERT_LT(v, kKeys);
+    reference.GetOrInsert(v);
+    if (weighted.Get(v) == nullptr) weighted.Put(v, OfDegree(degree[v]));
+    if (unit.Get(v) == nullptr) unit.Put(v, List({v}));
+  }
+  // Level 1 everywhere is exactly the one-bit policy.
+  EXPECT_EQ(unit.stats().hits, reference.hits);
+  const double clock_rate = static_cast<double>(reference.hits) /
+                            static_cast<double>(reference.lookups);
+  const double weighted_rate = weighted.stats().HitRate();
+  // Measured: 0.300 against 0.252. Ask for a tenth more hits.
+  EXPECT_GT(weighted_rate, 1.1 * clock_rate)
+      << "weighted " << weighted_rate << " vs one-bit " << clock_rate;
+}
+
 // Concurrent Get/Put/Clear/ExportShard stress on the lock-light design:
 // stats identities modulo Clear, every export internally consistent, and
-// no pinned handle ever observes freed or corrupt payload.
+// no pinned handle ever observes freed or corrupt payload. Lists of mixed
+// lengths (1 to 40) give the entries every retention level, so concurrent
+// hits race the hand's decrements at every count.
 TEST(HistoryCacheTest, ConcurrentGetPutClearExportStress) {
   HistoryCache cache({.capacity = 64, .num_shards = 4});
   constexpr uint32_t kKeys = 512;
@@ -514,7 +729,7 @@ TEST(HistoryCacheTest, ConcurrentGetPutClearExportStress) {
             ASSERT_LT(e.node, kKeys);
             ASSERT_FALSE(seen[e.node]);
             seen[e.node] = true;
-            ASSERT_EQ(*e.neighbors, List({e.node, e.node + 1}));
+            ASSERT_EQ(*e.neighbors, Ramp(e.node));
           }
         }
       }
@@ -537,7 +752,7 @@ TEST(HistoryCacheTest, ConcurrentGetPutClearExportStress) {
       graph::NodeId v = static_cast<graph::NodeId>(rng.UniformInt(kKeys));
       HistoryCache::Entry entry = cache.Get(v);
       if (entry == nullptr) {
-        entry = cache.Put(v, List({v, v + 1}));
+        entry = cache.Put(v, Ramp(v));
       }
       ASSERT_NE(entry, nullptr);
       // Retain a few handles across further churn, then validate their
@@ -545,8 +760,11 @@ TEST(HistoryCacheTest, ConcurrentGetPutClearExportStress) {
       pinned[i % 4] = std::move(entry);
       const HistoryCache::Entry& check = pinned[(i + 2) % 4];
       if (check != nullptr) {
-        ASSERT_EQ(check->size(), 2u);
-        ASSERT_EQ((*check)[1], (*check)[0] + 1);
+        const graph::NodeId first = (*check)[0];
+        ASSERT_EQ(check->size(), 1 + first % kMaxRampLength);
+        for (size_t j = 1; j < check->size(); ++j) {
+          ASSERT_EQ((*check)[j], first + j);
+        }
         ++local_validated;
       }
     }
