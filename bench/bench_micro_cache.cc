@@ -251,6 +251,49 @@ void BM_ContendedGetHitClock(benchmark::State& state) {
   }
 }
 
+// Hit path under contention, the walkers' borrowed form (SharedAccess's):
+// striped shared lock + flat-index probe + a hazard-slot store, no
+// refcount. One registered reader per thread, alternating its two slots as
+// a view does. Diagnostic: compare it with BM_ContendedGetHitClock.
+void BM_ContendedBorrowHit(benchmark::State& state) {
+  static access::HistoryCache* cache = nullptr;
+  static std::vector<access::HistoryCache::Reader*>* readers = nullptr;
+  if (state.thread_index() == 0) {
+    cache = new access::HistoryCache({.capacity = 0, .num_shards = 8});
+    for (graph::NodeId v = 0; v < kContendedKeys; ++v) {
+      cache->Put(v, ContendedPayload(v));
+    }
+    // Registered here, before the timed loop: the other threads start
+    // before the cache exists and first touch it inside the loop.
+    readers = new std::vector<access::HistoryCache::Reader*>();
+    for (int t = 0; t < state.threads(); ++t) {
+      readers->push_back(cache->RegisterReader());
+    }
+  }
+  const std::vector<graph::NodeId> stream =
+      ZipfStream(100 + static_cast<uint64_t>(state.thread_index()));
+  size_t i = 0;
+  size_t slot = 0;
+  for (auto _ : state) {
+    const auto* block = cache->Borrow(
+        stream[i], *(*readers)[state.thread_index()], slot);
+    benchmark::DoNotOptimize(block);
+    slot ^= 1;
+    i = (i + 1) % kStreamLen;
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    state.counters["hit_rate"] = cache->stats().HitRate();
+    for (access::HistoryCache::Reader* reader : *readers) {
+      cache->UnregisterReader(reader);
+    }
+    delete readers;
+    readers = nullptr;
+    delete cache;
+    cache = nullptr;
+  }
+}
+
 // Hit path under contention, pre-change baseline: exclusive lock + map find
 // + splice per Get.
 void BM_ContendedGetHitSpliceLru(benchmark::State& state) {
@@ -457,6 +500,7 @@ void BM_ContendedMixedSpliceLru(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ContendedGetHitClock)->Threads(1)->Threads(8)->UseRealTime();
+BENCHMARK(BM_ContendedBorrowHit)->Threads(1)->Threads(8)->UseRealTime();
 BENCHMARK(BM_ContendedGetHitSpliceLru)->Threads(1)->Threads(8)->UseRealTime();
 BENCHMARK(BM_ContendedGetBatchClock)->Threads(1)->Threads(8)->UseRealTime();
 BENCHMARK(BM_ContendedStepSpliceLru)->Threads(1)->Threads(8)->UseRealTime();

@@ -1,5 +1,7 @@
 #include "access/history_cache.h"
 
+#include <algorithm>
+#include <functional>
 #include <mutex>
 #include <shared_mutex>
 
@@ -76,26 +78,35 @@ HistoryCache::HistoryCache(HistoryCacheOptions options) : options_(options) {
   }
 }
 
-void HistoryCache::FlatIndex::InsertNoGrow(graph::NodeId key, Slot* slot) {
-  const uint32_t mask = static_cast<uint32_t>(cells_.size()) - 1;
-  uint32_t i = Home(key, mask);
-  while (cells_[i].slot != nullptr) i = (i + 1) & mask;
-  cells_[i] = Cell{key, slot};
+HistoryCache::~HistoryCache() {
+  for (Reader* reader = readers_.load(std::memory_order_relaxed);
+       reader != nullptr;) {
+    Reader* next = reader->next_;
+    delete reader;
+    reader = next;
+  }
 }
 
-void HistoryCache::FlatIndex::Insert(graph::NodeId key, Slot* slot) {
+void HistoryCache::FlatIndex::InsertNoGrow(const Cell& cell) {
+  const uint32_t mask = static_cast<uint32_t>(cells_.size()) - 1;
+  uint32_t i = Home(cell.key, mask);
+  while (cells_[i].block != nullptr) i = (i + 1) & mask;
+  cells_[i] = cell;
+}
+
+void HistoryCache::FlatIndex::Insert(const Cell& cell) {
   // Keep load under 3/4 so probe chains stay short and Find always
   // terminates on an empty cell.
   if (cells_.empty() || (size_ + 1) * 4 > cells_.size() * 3) Grow();
-  InsertNoGrow(key, slot);
+  InsertNoGrow(cell);
   ++size_;
 }
 
 void HistoryCache::FlatIndex::Grow() {
   std::vector<Cell> old = std::move(cells_);
-  cells_.assign(old.empty() ? 64 : old.size() * 2, Cell{0, nullptr});
+  cells_.assign(old.empty() ? 64 : old.size() * 2, Cell{0, 0, nullptr});
   for (const Cell& cell : old) {
-    if (cell.slot != nullptr) InsertNoGrow(cell.key, cell.slot);
+    if (cell.block != nullptr) InsertNoGrow(cell);
   }
 }
 
@@ -104,7 +115,7 @@ bool HistoryCache::FlatIndex::Erase(graph::NodeId key) {
   const uint32_t mask = static_cast<uint32_t>(cells_.size()) - 1;
   uint32_t i = Home(key, mask);
   while (true) {
-    if (cells_[i].slot == nullptr) return false;
+    if (cells_[i].block == nullptr) return false;
     if (cells_[i].key == key) break;
     i = (i + 1) & mask;
   }
@@ -115,7 +126,7 @@ bool HistoryCache::FlatIndex::Erase(graph::NodeId key) {
   uint32_t j = i;
   while (true) {
     j = (j + 1) & mask;
-    if (cells_[j].slot == nullptr) break;
+    if (cells_[j].block == nullptr) break;
     const uint32_t h = Home(cells_[j].key, mask);
     const bool movable = (j > i) ? (h <= i || h > j) : (h <= i && h > j);
     if (movable) {
@@ -123,7 +134,7 @@ bool HistoryCache::FlatIndex::Erase(graph::NodeId key) {
       i = j;
     }
   }
-  cells_[i].slot = nullptr;
+  cells_[i].block = nullptr;
   --size_;
   return true;
 }
@@ -137,8 +148,7 @@ uint32_t HistoryCache::ShardOf(graph::NodeId v, uint32_t num_shards) {
   return static_cast<uint32_t>(h % num_shards);
 }
 
-uint64_t HistoryCache::EntryBytes(
-    const util::ArrayBlock<graph::NodeId>& block) {
+uint64_t HistoryCache::EntryBytes(const Block& block) {
   // The one refcounted payload block plus the per-entry bookkeeping (index
   // slot, ring slot and its unique_ptr); approximate, but monotone in list
   // length and stable across runs.
@@ -146,21 +156,149 @@ uint64_t HistoryCache::EntryBytes(
          sizeof(graph::NodeId) + sizeof(uint32_t);
 }
 
-HistoryCache::Entry HistoryCache::Get(graph::NodeId v) {
-  HW_PROF_SCOPE("cache/get");
+void HistoryCache::SumTallies(const Shard& shard, uint64_t* hits,
+                              uint64_t* misses) {
+  for (const ShardLock::Stripe& stripe : shard.mu.stripes()) {
+    *hits += stripe.local.hits.load(std::memory_order_relaxed);
+    *misses += stripe.local.misses.load(std::memory_order_relaxed);
+  }
+}
+
+template <typename OnHit>
+void HistoryCache::Probe(graph::NodeId v, OnHit&& on_hit) {
   Shard& shard = shards_[ShardIndexOf(v)];
-  std::shared_lock<util::RwSpinLock> lock(shard.mu);
-  Slot* slot = shard.index.Find(v);
-  if (slot == nullptr) {
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    return Entry();
+  std::shared_lock<ShardLock> lock(shard.mu);
+  ReaderTally& tally = shard.mu.local();
+  const FlatIndex::Cell* cell = shard.index.Find(v);
+  if (cell == nullptr) {
+    tally.misses.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
   // The whole recency update: at most one relaxed store, no exclusive
   // lock, no list manipulation. The sweeping hand (under the exclusive
-  // lock) wears the count down one pass at a time.
-  Touch(*slot);
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
-  return slot->entry;
+  // lock) wears the count down one pass at a time. An unbounded shard has
+  // no hand, so its counts are never read and the hit skips the slot.
+  if (shard_capacity_ != 0) Touch(*shard.ring[cell->pos]);
+  tally.hits.fetch_add(1, std::memory_order_relaxed);
+  on_hit(shard, *cell);
+}
+
+HistoryCache::Entry HistoryCache::Get(graph::NodeId v) {
+  HW_PROF_SCOPE("cache/get");
+  Entry entry;
+  Probe(v, [&](const Shard& shard, const FlatIndex::Cell& cell) {
+    entry = shard.ring[cell.pos]->entry;
+  });
+  return entry;
+}
+
+const HistoryCache::Block* HistoryCache::Borrow(graph::NodeId v,
+                                                Reader& reader, size_t slot) {
+  HW_PROF_SCOPE("cache/get");
+  const Block* block = nullptr;
+  Probe(v, [&](const Shard&, const FlatIndex::Cell& cell) {
+    // Stored under the shared lock: an eviction of this block runs under
+    // the exclusive lock, after this store, and so retires it instead of
+    // dropping it while the slot may name it.
+    block = cell.block;
+    reader.slots_[slot].store(block, std::memory_order_release);
+  });
+  return block;
+}
+
+HistoryCache::Reader* HistoryCache::RegisterReader() {
+  std::lock_guard<std::mutex> lock(readers_mu_);
+  reader_slots_.fetch_add(kReaderSlots, std::memory_order_relaxed);
+  for (Reader* reader = readers_.load(std::memory_order_relaxed);
+       reader != nullptr; reader = reader->next_) {
+    if (!reader->in_use_) {
+      reader->in_use_ = true;
+      return reader;
+    }
+  }
+  auto* reader = new Reader();
+  reader->in_use_ = true;
+  reader->next_ = readers_.load(std::memory_order_relaxed);
+  readers_.store(reader, std::memory_order_release);
+  return reader;
+}
+
+void HistoryCache::UnregisterReader(Reader* reader) {
+  for (size_t i = 0; i < kReaderSlots; ++i) reader->Release(i);
+  {
+    std::lock_guard<std::mutex> lock(readers_mu_);
+    reader->in_use_ = false;
+    reader_slots_.fetch_sub(kReaderSlots, std::memory_order_relaxed);
+  }
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    Reclaim(shards_[s], /*wait=*/true);
+  }
+}
+
+void HistoryCache::RetireLocked(Shard& shard, Entry& entry) {
+  // A reader's registration happens before its first Borrow, whose shared
+  // unlock this exclusive section acquired: a reader that may name the
+  // block is already counted here.
+  if (reader_slots_.load(std::memory_order_relaxed) != 0) {
+    shard.retired.push_back(std::move(entry));
+  } else {
+    entry.reset();
+  }
+}
+
+void HistoryCache::UnlockAndReclaim(Shard& shard,
+                                    std::unique_lock<ShardLock>& lock) {
+  const bool due =
+      shard.retired.size() >=
+      2 * reader_slots_.load(std::memory_order_relaxed) + kRetireFloor;
+  lock.unlock();
+  if (due) Reclaim(shard, /*wait=*/false);
+}
+
+void HistoryCache::Reclaim(Shard& shard, bool wait) {
+  // One pass per shard at a time: a pass holds the blocks it took where no
+  // other pass can see them, so an unregistration's pass must wait for it
+  // to put back what it kept. A due pass that finds one running skips; the
+  // running pass or a later one covers its blocks.
+  std::unique_lock<std::mutex> pass(shard.reclaim_mu, std::defer_lock);
+  if (wait) {
+    pass.lock();
+  } else if (!pass.try_lock()) {
+    return;
+  }
+  thread_local std::vector<Entry> taken;
+  {
+    std::unique_lock<ShardLock> lock(shard.mu);
+    taken.swap(shard.retired);
+  }
+  FreeUnnamed(taken);
+  if (taken.empty()) return;
+  std::unique_lock<ShardLock> lock(shard.mu);
+  for (Entry& entry : taken) shard.retired.push_back(std::move(entry));
+  taken.clear();
+}
+
+void HistoryCache::FreeUnnamed(std::vector<Entry>& retired) const {
+  // Every retired block was unreachable from the index before the list
+  // was taken, so no slot can start naming it; a slot read here names it
+  // only if its owner may still be reading it. The acquire loads order the
+  // owner's reads of a block it has moved off before the free below.
+  thread_local std::vector<const Block*> named;
+  named.clear();
+  for (const Reader* reader = readers_.load(std::memory_order_acquire);
+       reader != nullptr; reader = reader->next_) {
+    for (const auto& slot : reader->slots_) {
+      const Block* block = slot.load(std::memory_order_acquire);
+      if (block != nullptr) named.push_back(block);
+    }
+  }
+  std::sort(named.begin(), named.end(), std::less<const Block*>());
+  auto unnamed =
+      std::partition(retired.begin(), retired.end(), [&](const Entry& entry) {
+        return std::binary_search(named.begin(), named.end(), entry.get(),
+                                  std::less<const Block*>());
+      });
+  retired.erase(unnamed, retired.end());
 }
 
 void HistoryCache::GetBatch(std::span<const graph::NodeId> ids, Entry* out) {
@@ -170,7 +308,7 @@ void HistoryCache::GetBatch(std::span<const graph::NodeId> ids, Entry* out) {
   // Per-shard lookup body, run under one shared acquisition per shard.
   auto lookup = [](Shard& shard, graph::NodeId id, Entry& slot_out,
                    uint64_t& hits, uint64_t& misses) {
-    Slot* slot = shard.index.Find(id);
+    Slot* slot = shard.Find(id);
     if (slot == nullptr) {
       ++misses;
       slot_out = Entry();
@@ -186,11 +324,12 @@ void HistoryCache::GetBatch(std::span<const graph::NodeId> ids, Entry* out) {
       &groups);
   if (only != num_shards_) {
     Shard& shard = shards_[only];
-    std::shared_lock<util::RwSpinLock> lock(shard.mu);
+    std::shared_lock<ShardLock> lock(shard.mu);
     uint64_t hits = 0, misses = 0;
     for (size_t i = 0; i < n; ++i) lookup(shard, ids[i], out[i], hits, misses);
-    if (hits != 0) shard.hits.fetch_add(hits, std::memory_order_relaxed);
-    if (misses != 0) shard.misses.fetch_add(misses, std::memory_order_relaxed);
+    ReaderTally& tally = shard.mu.local();
+    if (hits != 0) tally.hits.fetch_add(hits, std::memory_order_relaxed);
+    if (misses != 0) tally.misses.fetch_add(misses, std::memory_order_relaxed);
     return;
   }
   const std::vector<uint32_t>& order = groups->order;
@@ -201,13 +340,13 @@ void HistoryCache::GetBatch(std::span<const graph::NodeId> ids, Entry* out) {
     const uint32_t end = groups->ends[s];
     if (begin == end) continue;
     Shard& shard = shards_[s];
-    std::shared_lock<util::RwSpinLock> lock(shard.mu);
+    std::shared_lock<ShardLock> lock(shard.mu);
     uint64_t hits = 0, misses = 0;
     // Two passes under one acquisition: resolve every probe first,
     // prefetching the payload block whose header the refcount bump in the
     // commit pass will write — the probes overlap the block-line fills.
     for (uint32_t j = begin; j < end; ++j) {
-      Slot* slot = shard.index.Find(ids[order[j]]);
+      Slot* slot = shard.Find(ids[order[j]]);
       run[j] = slot;
       if (slot != nullptr) __builtin_prefetch(slot->entry.get(), 1, 3);
     }
@@ -223,8 +362,9 @@ void HistoryCache::GetBatch(std::span<const graph::NodeId> ids, Entry* out) {
       ++hits;
       out[i] = slot->entry;
     }
-    if (hits != 0) shard.hits.fetch_add(hits, std::memory_order_relaxed);
-    if (misses != 0) shard.misses.fetch_add(misses, std::memory_order_relaxed);
+    ReaderTally& tally = shard.mu.local();
+    if (hits != 0) tally.hits.fetch_add(hits, std::memory_order_relaxed);
+    if (misses != 0) tally.misses.fetch_add(misses, std::memory_order_relaxed);
     begin = end;
   }
 }
@@ -232,7 +372,7 @@ void HistoryCache::GetBatch(std::span<const graph::NodeId> ids, Entry* out) {
 HistoryCache::Entry HistoryCache::PutLocked(
     Shard& shard, graph::NodeId v, std::span<const graph::NodeId> neighbors,
     bool* inserted) {
-  Slot* resident = shard.index.Find(v);
+  Slot* resident = shard.Find(v);
   if (resident != nullptr) {
     // Lost a fetch race with another walker; keep the resident entry and
     // treat the duplicate store as a touch.
@@ -269,12 +409,13 @@ HistoryCache::Entry HistoryCache::PutLocked(
     shard.index.Erase(victim.key);
     shard.bytes -= victim.bytes;
     ++shard.evictions;
+    RetireLocked(shard, victim.entry);
     victim.key = v;
     victim.entry = std::move(entry);
     victim.bytes = entry_bytes;
     victim.level = level;
     victim.ref.store(initial_ref, std::memory_order_relaxed);
-    shard.index.Insert(v, &victim);
+    shard.index.Insert({v, pos, victim.entry.get()});
     shard.hand = (pos + 1) % ring_size;
     shard.bytes += entry_bytes;
     ++shard.insertions;
@@ -288,7 +429,8 @@ HistoryCache::Entry HistoryCache::PutLocked(
   slot->level = level;
   slot->ref.store(initial_ref, std::memory_order_relaxed);
   Slot& stored = *slot;
-  shard.index.Insert(v, &stored);
+  shard.index.Insert({v, static_cast<uint32_t>(shard.ring.size()),
+                      stored.entry.get()});
   shard.ring.push_back(std::move(slot));
   shard.bytes += entry_bytes;
   ++shard.insertions;
@@ -301,8 +443,10 @@ HistoryCache::Entry HistoryCache::Put(graph::NodeId v,
                                       bool* inserted) {
   HW_PROF_SCOPE("cache/put");
   Shard& shard = shards_[ShardIndexOf(v)];
-  std::unique_lock<util::RwSpinLock> lock(shard.mu);
-  return PutLocked(shard, v, neighbors, inserted);
+  std::unique_lock<ShardLock> lock(shard.mu);
+  Entry entry = PutLocked(shard, v, neighbors, inserted);
+  UnlockAndReclaim(shard, lock);
+  return entry;
 }
 
 std::vector<HistoryCache::ExportedEntry> HistoryCache::ExportShard(
@@ -312,7 +456,7 @@ std::vector<HistoryCache::ExportedEntry> HistoryCache::ExportShard(
   std::vector<ExportedEntry> out;
   // Shared suffices: the export mutates nothing, and shared mode excludes
   // writers, which is all consistency needs.
-  std::shared_lock<util::RwSpinLock> lock(shard.mu);
+  std::shared_lock<ShardLock> lock(shard.mu);
   const size_t ring_size = shard.ring.size();
   out.reserve(ring_size);
   // Walk the ring in clock order starting at the hand, so the export reads
@@ -348,8 +492,9 @@ uint64_t HistoryCache::PutBatch(std::span<const ImportEntry> entries,
       &groups);
   if (only != num_shards_) {
     Shard& shard = shards_[only];
-    std::unique_lock<util::RwSpinLock> lock(shard.mu);
+    std::unique_lock<ShardLock> lock(shard.mu);
     for (size_t i = 0; i < n; ++i) land(shard, i);
+    UnlockAndReclaim(shard, lock);
     return new_entries;
   }
   uint32_t begin = 0;
@@ -357,8 +502,9 @@ uint64_t HistoryCache::PutBatch(std::span<const ImportEntry> entries,
     const uint32_t end = groups->ends[s];
     if (begin == end) continue;
     Shard& shard = shards_[s];
-    std::unique_lock<util::RwSpinLock> lock(shard.mu);
+    std::unique_lock<ShardLock> lock(shard.mu);
     for (uint32_t j = begin; j < end; ++j) land(shard, groups->order[j]);
+    UnlockAndReclaim(shard, lock);
     begin = end;
   }
   return new_entries;
@@ -366,7 +512,7 @@ uint64_t HistoryCache::PutBatch(std::span<const ImportEntry> entries,
 
 bool HistoryCache::Contains(graph::NodeId v) const {
   const Shard& shard = shards_[ShardIndexOf(v)];
-  std::shared_lock<util::RwSpinLock> lock(shard.mu);
+  std::shared_lock<ShardLock> lock(shard.mu);
   // Deliberately no counter bumps and no reference-count mark: Contains
   // must not make an entry look recently used or skew hit-rate stats.
   return shard.index.Find(v) != nullptr;
@@ -375,11 +521,15 @@ bool HistoryCache::Contains(graph::NodeId v) const {
 void HistoryCache::Clear() {
   for (uint32_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
-    std::unique_lock<util::RwSpinLock> lock(shard.mu);
+    std::unique_lock<ShardLock> lock(shard.mu);
+    for (const std::unique_ptr<Slot>& slot : shard.ring) {
+      RetireLocked(shard, slot->entry);
+    }
     shard.index.Clear();
     shard.ring.clear();
     shard.hand = 0;
     shard.bytes = 0;
+    UnlockAndReclaim(shard, lock);
   }
 }
 
@@ -387,9 +537,8 @@ HistoryCacheShardHeat HistoryCache::shard_heat(uint32_t shard_index) const {
   HW_CHECK(shard_index < num_shards_);
   const Shard& shard = shards_[shard_index];
   HistoryCacheShardHeat heat;
-  std::shared_lock<util::RwSpinLock> lock(shard.mu);
-  heat.hits = shard.hits.load(std::memory_order_relaxed);
-  heat.misses = shard.misses.load(std::memory_order_relaxed);
+  std::shared_lock<ShardLock> lock(shard.mu);
+  SumTallies(shard, &heat.hits, &heat.misses);
   heat.insertions = shard.insertions;
   heat.evictions = shard.evictions;
   heat.entries = shard.index.size();
@@ -411,13 +560,21 @@ HistoryCacheStats HistoryCache::stats() const {
   HistoryCacheStats total;
   for (uint32_t s = 0; s < num_shards_; ++s) {
     const Shard& shard = shards_[s];
-    std::shared_lock<util::RwSpinLock> lock(shard.mu);
-    total.hits += shard.hits.load(std::memory_order_relaxed);
-    total.misses += shard.misses.load(std::memory_order_relaxed);
+    std::shared_lock<ShardLock> lock(shard.mu);
+    SumTallies(shard, &total.hits, &total.misses);
     total.insertions += shard.insertions;
     total.evictions += shard.evictions;
     total.entries += shard.index.size();
     total.bytes += shard.bytes;
+  }
+  return total;
+}
+
+uint64_t HistoryCache::retired_count() const {
+  uint64_t total = 0;
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    std::shared_lock<ShardLock> lock(shards_[s].mu);
+    total += shards_[s].retired.size();
   }
   return total;
 }

@@ -1,9 +1,12 @@
 #ifndef HISTWALK_ACCESS_HISTORY_CACHE_H_
 #define HISTWALK_ACCESS_HISTORY_CACHE_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -19,10 +22,15 @@
 // The cache is sharded: a node id maps to a shard by a fixed multiplicative
 // hash, and each shard runs an independent degree-weighted CLOCK ring under
 // its own lock, so concurrent walkers sharing one cache contend only per
-// shard. Entries are handed out as pinned util::BlockRef handles — one
-// refcounted allocation per response; eviction drops the cache's reference
-// while any walker still holding the handle keeps its span valid — the
-// analogue of page pinning in a buffer pool.
+// shard. Each response is one refcounted util::BlockRef allocation, read
+// one of two ways:
+//   * Get() hands out a pinned handle (a refcount bump): eviction drops the
+//     cache's reference while the holder's keeps the span valid — the
+//     analogue of page pinning in a buffer pool. The pipeline's late-hit
+//     probe, the history tier, exports and tests read this way.
+//   * Borrow() is the walkers' hit path (SharedAccess). It leaves the
+//     refcount alone and names the block in one of the caller's hazard
+//     slots instead; see "Reclamation" below.
 //
 // Retention is weighted by the walk's stationary distribution. SRW, CNRW,
 // NB-CNRW and GNRW all keep pi(v) proportional to deg(v) (the source paper's
@@ -41,21 +49,41 @@
 // CLOCK. The weight assumes a walk with pi ~ deg; a Metropolis-Hastings
 // walk (uniform pi) gains nothing from it.
 //
-// The hit path is read-mostly by design. An earlier revision refreshed a
-// strict-LRU list on every Get, which meant an exclusive mutex and a list
-// splice per hit; once shared history absorbs most wire fetches (the whole
-// point of the paper), that exclusive lock became the measured bottleneck
-// under multi-walker and multi-tenant load. Get takes the shard lock in
-// SHARED mode — any number of concurrent hits proceed in parallel — and
-// records recency in the per-entry atomic reference count. Only writers
-// (Put / eviction / Clear / BulkPut) take the lock exclusively. The key ->
-// slot index is a flat open-addressed table (power-of-two capacity, linear
-// probing, backward-shift deletion) rather than a node-based hash map: a
-// hit probes one contiguous cell array instead of chasing bucket pointers
-// through a prime-modulo map, which is most of the single-threaded win.
-// bench_micro_cache's contended mode measures the difference against the
-// retained splice-LRU baseline; scripts/bench_report.py records it in
-// BENCH_cache.json.
+// The hit path writes only the calling thread's own lines, because every
+// shared line a hit writes is one the other steppers' hits must wait on:
+//   * the shard lock is a util::StripedRwLock: a reader counts itself into
+//     its own thread's stripe, and the shard's hit and miss tallies live on
+//     that same stripe;
+//   * a borrowed hit stores the block pointer into the caller's hazard
+//     slot, a line only that caller writes, instead of bumping the
+//     refcount;
+//   * recency is the per-entry reference count, raised only while below the
+//     entry's level — the one write a hit may make to a shared line. An
+//     unbounded cache never evicts, so its hits skip the count.
+// Writers (Put / eviction / Clear / BulkPut) raise the lock's flag and wait
+// for every stripe to drain. The key -> entry index is a flat
+// open-addressed table (power-of-two capacity, linear probing,
+// backward-shift deletion) whose cells hold each entry's block pointer:
+// a hit probes one contiguous cell array, and a borrowed hit on an
+// unbounded cache reads nothing else but the block the walker reads
+// anyway. bench_micro_cache's BM_Contended* family measures the hit path
+// against the retained splice-LRU baseline, pinned (Get) and borrowed
+// (BM_ContendedBorrowHit).
+//
+// Reclamation. A borrower registers a Reader — kReaderSlots hazard slots
+// on one cache line — for its lifetime. Borrow() finds the block and
+// stores its pointer into a slot (release) under the shard's shared lock,
+// so an eviction, which runs under the exclusive lock, always comes after
+// that store and sees it. Eviction and Clear move the victim's handle onto
+// the shard's retired list (or drop it at once while no reader is
+// registered). Once a list reaches 2 x the registered slots + kRetireFloor,
+// the thread that filled it runs a pass: it takes the list, and outside the
+// shard lock it reads every slot (acquire), frees each block no slot names
+// and puts the rest back. A pass keeps at most one block per slot, so it
+// frees at least half the list: freeing stays O(1) amortized per eviction.
+// Passes on one shard run one at a time. Unregistering a reader runs a
+// pass over every shard, waiting out any running one, so the retired lists
+// are empty once the last reader is gone.
 //
 // `capacity` bounds the number of cached responses (0 = unbounded, the
 // seed's behaviour). The bound is enforced per shard (ceil(capacity /
@@ -121,18 +149,59 @@ class HistoryCache {
   // neighbor list (util/arena.h). Holding the handle keeps the list alive
   // even after the entry is evicted.
   using Entry = util::BlockRef<graph::NodeId>;
+  // The block an Entry points at; what Borrow() lends.
+  using Block = util::ArrayBlock<graph::NodeId>;
+
+  // Hazard slots per Reader: SharedAccess alternates between two, so the
+  // span a walker is still reading survives the next Neighbors() call.
+  static constexpr size_t kReaderSlots = 2;
+
+  // A borrower's hazard slots, on a cache line of their own: only the
+  // owner writes them (Borrow, Release), and reclamation reads them. The
+  // owner is one thread at a time.
+  class alignas(64) Reader {
+   public:
+    // Empties slot `i`: the block it named may be freed from now on.
+    void Release(size_t i) {
+      slots_[i].store(nullptr, std::memory_order_release);
+    }
+
+   private:
+    friend class HistoryCache;
+    std::array<std::atomic<const Block*>, kReaderSlots> slots_{};
+    Reader* next_ = nullptr;  // registry link, immutable once published
+    bool in_use_ = false;     // under readers_mu_
+  };
 
   explicit HistoryCache(HistoryCacheOptions options = {});
+  ~HistoryCache();
 
   HistoryCache(const HistoryCache&) = delete;
   HistoryCache& operator=(const HistoryCache&) = delete;
 
   // Looks up the response for `v`, raising its clock reference count to
   // its level (the recency signal; a count already at its level is left
-  // unwritten). Returns a null handle on miss. Thread-safe and lock-light:
-  // hits share the shard lock with each other and never exclude other
-  // readers; hit/miss counters are exact under concurrency.
+  // unwritten). Returns a pinned handle, or a null one on miss.
+  // Thread-safe and lock-light: hits share the shard lock with each other
+  // and never exclude other readers; hit/miss counters are exact under
+  // concurrency.
   Entry Get(graph::NodeId v);
+
+  // Registers a borrower for Borrow() and returns its slots, all empty.
+  // Pair with UnregisterReader; the cache must outlive the registration.
+  // Thread-safe.
+  Reader* RegisterReader();
+  // Empties `reader`'s slots and returns them to the cache, then frees
+  // every retired block no remaining slot names. Thread-safe.
+  void UnregisterReader(Reader* reader);
+
+  // The borrowed hit: Get() without the refcount. On a hit, stores the
+  // block into `reader`'s slot `slot` under the shard's shared lock and
+  // returns it; the block then stays valid, even if evicted, until that
+  // slot is next written or the reader is unregistered. On a miss, returns
+  // nullptr and leaves the slot alone. Counts and raises the reference
+  // count exactly like Get. Thread-safe across readers.
+  const Block* Borrow(graph::NodeId v, Reader& reader, size_t slot);
 
   // Batched Get: `out[i]` receives the entry for `ids[i]` (null on miss).
   // Lookups are grouped by shard and each touched shard's lock is acquired
@@ -176,9 +245,9 @@ class HistoryCache {
   //   * entries never exceeds num_shards * shard_capacity when bounded;
   //   * cumulative counters (hits/misses/insertions/evictions) are
   //     monotone non-decreasing across successive stats() calls from one
-  //     thread. hits/misses are lock-free atomics bumped by concurrent
-  //     readers, so a snapshot may lag in-flight Gets by a few counts; at
-  //     quiescence they are exact.
+  //     thread. hits/misses are lock-free per-stripe atomics bumped by
+  //     concurrent readers, so a snapshot may lag in-flight lookups by a
+  //     few counts; at quiescence they are exact.
   HistoryCacheStats stats() const;
   // Per-shard slice of stats() plus the sweep-length distribution and
   // (when profile_locks is on) shard-lock contention counters; taken
@@ -186,6 +255,9 @@ class HistoryCache {
   // same way one shard's stats() contribution is.
   HistoryCacheShardHeat shard_heat(uint32_t shard) const;
   bool profile_locks() const { return options_.profile_locks; }
+  // Evicted or cleared entries a reader slot may still name, awaiting
+  // reclamation (not counted in entries or bytes).
+  uint64_t retired_count() const;
   uint64_t entry_count() const { return stats().entries; }
   // Approximate heap footprint of resident entries, in bytes — the access
   // layer's contribution to HistoryBytes() reporting.
@@ -257,10 +329,13 @@ class HistoryCache {
   // Highest retention level: a list of 31 or more neighbors survives up to
   // 31 passes of the hand after its last hit.
   static constexpr uint8_t kMaxLevel = 31;
+  // A retired list's reclamation threshold above 2 x the registered slots
+  // (see "Reclamation" above).
+  static constexpr uint64_t kRetireFloor = 32;
 
   // One clock-ring position. `ref` is the multi-bit reference count:
-  // raised to `level` by Get (and by a resident Put) under the SHARED lock,
-  // decremented and consumed by the sweeping hand under the exclusive lock
+  // raised to `level` by a hit (Get/Borrow on a bounded shard, GetBatch, a
+  // resident Put) under the SHARED lock, decremented and consumed by the sweeping hand under the exclusive lock
   // — hence atomic. `level` is clamp(|N(v)|, 1, kMaxLevel), written only
   // under the exclusive lock when the slot takes a new entry; it sits in
   // the padding byte beside `ref`.
@@ -272,28 +347,35 @@ class HistoryCache {
     uint64_t bytes = 0;  // EntryBytes at insert, for O(1) evict accounting
   };
 
-  // Flat open-addressed key -> slot index: one contiguous cell array,
+  // Flat open-addressed key -> entry index: one contiguous cell array,
   // power-of-two capacity with linear probing, backward-shift deletion (no
   // tombstones, so probe chains never rot under the Put/evict churn of a
-  // full cache). Cells hold the Slot pointer directly, so a hit is probe +
-  // one deref — no hop through the ring vector. All mutation happens under
-  // the shard's exclusive lock; concurrent Find()s run under the shared
-  // lock and touch nothing.
+  // full cache). A cell holds the entry's block and its ring position, so
+  // a borrowed hit on an unbounded shard (no counts to raise) reads the
+  // cell and then only the block the walker reads anyway. All mutation
+  // happens under the shard's exclusive lock; concurrent Find()s run under
+  // the shared lock and touch nothing.
   class FlatIndex {
    public:
-    // The slot holding `key`, or nullptr.
-    Slot* Find(graph::NodeId key) const {
+    struct Cell {
+      graph::NodeId key;
+      uint32_t pos;        // ring position of the entry's Slot
+      const Block* block;  // the Slot's block; nullptr marks an empty cell
+    };
+
+    // The cell holding `key`, or nullptr.
+    const Cell* Find(graph::NodeId key) const {
       if (cells_.empty()) return nullptr;
       const uint32_t mask = static_cast<uint32_t>(cells_.size()) - 1;
       for (uint32_t i = Home(key, mask);; i = (i + 1) & mask) {
         const Cell& cell = cells_[i];
-        if (cell.slot == nullptr) return nullptr;
-        if (cell.key == key) return cell.slot;
+        if (cell.block == nullptr) return nullptr;
+        if (cell.key == key) return &cell;
       }
     }
 
-    // `key` must not already be present.
-    void Insert(graph::NodeId key, Slot* slot);
+    // `key` must not already be present; `block` is non-null.
+    void Insert(const Cell& cell);
     // True if `key` was present and removed.
     bool Erase(graph::NodeId key);
     void Clear() {
@@ -303,10 +385,6 @@ class HistoryCache {
     size_t size() const { return size_; }
 
    private:
-    struct Cell {
-      graph::NodeId key;
-      Slot* slot;  // nullptr marks an empty cell
-    };
 
     static uint32_t Home(graph::NodeId key, uint32_t mask) {
       // High multiplicative-hash bits, distinct from the low bits ShardOf
@@ -314,35 +392,63 @@ class HistoryCache {
       uint64_t h = static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull;
       return static_cast<uint32_t>(h >> 32) & mask;
     }
-    void InsertNoGrow(graph::NodeId key, Slot* slot);
+    void InsertNoGrow(const Cell& cell);
     void Grow();
 
     std::vector<Cell> cells_;
     size_t size_ = 0;
   };
+  // One reader stripe's share of a shard's lookup counts, kept on the
+  // stripe's own line beside its reader count.
+  struct ReaderTally {
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+  };
+  using ShardLock = util::StripedRwLock<ReaderTally>;
+
   struct Shard {
-    // Shared by the hit path (Get/GetBatch/Contains/stats/ExportShard),
-    // exclusive for mutation (Put/PutBatch/Clear). A one-word spinlock,
-    // not std::shared_mutex: the critical sections are a few probes long,
-    // and pthread_rwlock overhead would be several times the work guarded.
-    mutable util::RwSpinLock mu;
+    // Shared by the hit path (Get/Borrow/GetBatch/Contains/stats/
+    // ExportShard), exclusive for mutation (Put/PutBatch/Clear). A striped
+    // spinlock, not std::shared_mutex: the critical sections are a few
+    // probes long, and pthread_rwlock overhead would be several times the
+    // work guarded. Its stripes also hold the shard's hit/miss tallies.
+    mutable ShardLock mu;
     FlatIndex index;  // key -> slot
     // The clock ring; unique_ptr keeps Slot addresses (and their atomics)
     // stable while the vector grows.
     std::vector<std::unique_ptr<Slot>> ring;
     uint32_t hand = 0;  // next eviction scan position
-    std::atomic<uint64_t> hits{0};    // reader-side, lock-free
-    std::atomic<uint64_t> misses{0};  // reader-side, lock-free
-    uint64_t insertions = 0;          // writer-side, under exclusive mu
+    uint64_t insertions = 0;  // writer-side, under exclusive mu
     uint64_t evictions = 0;
     uint64_t bytes = 0;
     // Clock-hand steps per eviction; writer-side, under exclusive mu.
     obs::Log2Histogram sweep;
+    // Handles evicted or cleared while a reader was registered, each kept
+    // until no reader slot names its block; under exclusive mu.
+    std::vector<Entry> retired;
+    // Held for a whole Reclaim pass, before mu.
+    std::mutex reclaim_mu;
     // Contention telemetry sink; only wired to mu when profile_locks.
     util::RwSpinLockCounters lock_counters;
+
+    // The slot holding `key`, or nullptr.
+    Slot* Find(graph::NodeId key) const {
+      const FlatIndex::Cell* cell = index.Find(key);
+      return cell == nullptr ? nullptr : ring[cell->pos].get();
+    }
   };
 
-  static uint64_t EntryBytes(const util::ArrayBlock<graph::NodeId>& block);
+  static uint64_t EntryBytes(const Block& block);
+
+  // Sums a shard's hit and miss tallies over its reader stripes.
+  static void SumTallies(const Shard& shard, uint64_t* hits,
+                         uint64_t* misses);
+
+  // One lookup under the shard's shared lock: counts a hit or a miss on
+  // the calling thread's stripe, and on a hit raises the reference count
+  // and calls on_hit(shard, cell) before the lock is released.
+  template <typename OnHit>
+  void Probe(graph::NodeId v, OnHit&& on_hit);
 
   // Retention level of a list of `degree` neighbors (see kMaxLevel).
   static uint8_t LevelOf(size_t degree) {
@@ -363,6 +469,19 @@ class HistoryCache {
   Entry PutLocked(Shard& shard, graph::NodeId v,
                   std::span<const graph::NodeId> neighbors, bool* inserted);
 
+  // Under the exclusive lock: moves `entry` onto the shard's retired list
+  // while any reader is registered, else drops it.
+  void RetireLocked(Shard& shard, Entry& entry);
+  // Releases `lock` (exclusive on `shard`), then runs a Reclaim pass if
+  // the shard's retired list has reached the threshold.
+  void UnlockAndReclaim(Shard& shard, std::unique_lock<ShardLock>& lock);
+  // Takes the shard's retired list, frees outside the shard lock every
+  // block no reader slot names, and puts the rest back. With `wait`, waits
+  // for a pass already running on the shard; without, skips.
+  void Reclaim(Shard& shard, bool wait);
+  // Drops the handles in `retired` whose blocks no reader slot names.
+  void FreeUnnamed(std::vector<Entry>& retired) const;
+
   // ShardOf(v, num_shards_), with the modulo strength-reduced to a mask
   // when num_shards_ is a power of two (the common case — the default is
   // 8). Bit-identical to the static method; just cheaper on the hot path.
@@ -378,6 +497,11 @@ class HistoryCache {
   bool shards_pow2_;
   uint64_t shard_capacity_;  // 0 = unbounded
   std::unique_ptr<Shard[]> shards_;
+  // Reader registry: a list that only grows, so reclamation walks it
+  // without a lock; freed readers are reused. Registration takes the mutex.
+  std::mutex readers_mu_;
+  std::atomic<Reader*> readers_{nullptr};
+  std::atomic<uint64_t> reader_slots_{0};  // kReaderSlots per live reader
 };
 
 }  // namespace histwalk::access

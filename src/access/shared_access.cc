@@ -110,10 +110,13 @@ SharedAccess::SharedAccess(SharedAccessGroup* group, AsyncFetcher* resolver)
     : group_(group),
       resolver_(resolver),
       view_id_(group->next_view_id_.fetch_add(1, std::memory_order_relaxed)),
-      queried_(group->backend()->num_nodes(), false) {
+      queried_(group->backend()->num_nodes(), false),
+      reader_(group->cache_->RegisterReader()) {
   HW_CHECK(group_ != nullptr);
   HW_CHECK(resolver_ != nullptr);
 }
+
+SharedAccess::~SharedAccess() { group_->cache_->UnregisterReader(reader_); }
 
 void SharedAccess::RecordMiss(graph::NodeId v, obs::Counter* counter,
                               const char* result, obs::FlightEventKind kind,
@@ -173,6 +176,8 @@ util::Result<std::span<const graph::NodeId>> SharedAccess::Neighbors(
     return util::Status::OutOfRange("unknown node id");
   }
   const GroupObsCounters& obs = group_->obs_;
+  const size_t slot = retain_slot_;
+  std::span<const graph::NodeId> served;
   HistoryCache::Entry entry;
   if (parked_on_ != graph::kInvalidNode) {
     // The re-run of a parked step asks for the same node and takes the
@@ -183,10 +188,12 @@ util::Result<std::span<const graph::NodeId>> SharedAccess::Neighbors(
     landed_.reset();
     if (!taken.ok()) return taken.status();
     entry = *std::move(taken);
-  } else if ((entry = group_->cache_->Get(v)) != nullptr) {
+  } else if (const HistoryCache::Block* block =
+                 group_->cache_->Borrow(v, *reader_, slot)) {
     obs.cache_hits->Inc();
     HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
                           ProbeArgs(*group_->cache_, v, "hit"));
+    served = block->span();
   } else {
     // The one miss chain: tier -> resolver. Every outcome below attributes
     // this miss to exactly one counter/flight kind — the invariant
@@ -223,11 +230,16 @@ util::Result<std::span<const graph::NodeId>> SharedAccess::Neighbors(
       entry = *std::move(taken);
     }
   }
+  if (entry != nullptr) {
+    // A landed or promoted entry is pinned, so its hazard slot names
+    // nothing.
+    reader_->Release(slot);
+    pinned_[slot] = std::move(entry);
+    served = pinned_[slot]->span();
+  }
   AccountServed(v);
-  retained_[retain_slot_] = entry;
-  retain_slot_ = (retain_slot_ + 1) % std::size(retained_);
-  return util::Result<std::span<const graph::NodeId>>(
-      std::span<const graph::NodeId>(*entry));
+  retain_slot_ = (slot + 1) % HistoryCache::kReaderSlots;
+  return util::Result<std::span<const graph::NodeId>>(served);
 }
 
 util::Result<double> SharedAccess::Attribute(graph::NodeId v,
@@ -249,7 +261,10 @@ void SharedAccess::ResetAccounting() {
   stats_ = QueryStats{};
   queried_.assign(group_->backend()->num_nodes(), false);
   charged_fetches_ = 0;
-  for (auto& handle : retained_) handle.reset();
+  for (size_t i = 0; i < HistoryCache::kReaderSlots; ++i) {
+    reader_->Release(i);
+    pinned_[i].reset();
+  }
   // A parked miss belongs to a step in progress; accounting resets happen
   // between walks, never inside one.
   HW_CHECK(parked_on_ == graph::kInvalidNode);

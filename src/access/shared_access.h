@@ -198,6 +198,10 @@ class SharedAccess final : public NodeAccess {
   // Prefer SharedAccessGroup::MakeView(). `group` and `resolver` must
   // outlive this view.
   SharedAccess(SharedAccessGroup* group, AsyncFetcher* resolver);
+  ~SharedAccess() override;
+
+  SharedAccess(const SharedAccess&) = delete;
+  SharedAccess& operator=(const SharedAccess&) = delete;
 
   util::Result<std::span<const graph::NodeId>> Neighbors(
       graph::NodeId v) override;
@@ -279,10 +283,15 @@ class SharedAccess final : public NodeAccess {
   graph::NodeId parked_on_ = graph::kInvalidNode;
   uint64_t parked_start_us_ = 0;
   std::optional<util::Result<AsyncFetcher::Fetched>> landed_;
-  // Handles to recently returned responses: keeps their spans valid even if
-  // the shared cache evicts the entries mid-step (one neighbor list is live
-  // per walker step; two gives margin).
-  HistoryCache::Entry retained_[2];
+  // What keeps the recently returned spans valid even if the shared cache
+  // evicts their entries mid-step (one neighbor list is live per walker
+  // step; two gives margin). Call k serves through slot k % 2: a hit names
+  // its borrowed block in the reader's hazard slot (no refcount write), a
+  // miss pins its entry in pinned_ and empties the hazard slot. A hit
+  // leaves pinned_ alone, so a pin from an older miss lasts until the
+  // slot's next miss or the view's end.
+  HistoryCache::Reader* reader_;  // registered with group_'s cache
+  HistoryCache::Entry pinned_[HistoryCache::kReaderSlots];
   size_t retain_slot_ = 0;
 };
 

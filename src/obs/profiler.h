@@ -14,6 +14,7 @@
 
 #include "obs/histogram.h"
 #include "obs/registry.h"
+#include "util/thread_stripe.h"
 
 // Wall-clock scoped profiler: the hardware-time counterpart of the
 // deterministic sim-clock tracer (obs/trace.h).
@@ -66,7 +67,7 @@ class ProfSite {
   bool armed() const;
 
   void Record(uint64_t elapsed_ns, uint64_t self_ns) {
-    Cell& cell = cells_[internal::ThreadStripe(kStripes)];
+    Cell& cell = cells_[util::ThreadStripe(kStripes)];
     cell.count.fetch_add(1, std::memory_order_relaxed);
     cell.total_ns.fetch_add(elapsed_ns, std::memory_order_relaxed);
     cell.self_ns.fetch_add(self_ns, std::memory_order_relaxed);

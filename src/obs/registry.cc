@@ -6,17 +6,6 @@
 
 namespace histwalk::obs {
 
-namespace internal {
-
-size_t ThreadStripe(size_t stripes) {
-  static std::atomic<size_t> next{0};
-  thread_local size_t assigned =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return assigned % stripes;
-}
-
-}  // namespace internal
-
 // ---- ScrapeResult -----------------------------------------------------------
 
 namespace {

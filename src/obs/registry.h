@@ -17,6 +17,7 @@
 #include "obs/histogram.h"
 #include "util/rw_spinlock.h"
 #include "util/status.h"
+#include "util/thread_stripe.h"
 
 // Process-wide metrics registry: named counters, gauges and log2
 // histograms, scraped into a Prometheus-style text exposition or JSON.
@@ -44,11 +45,6 @@
 
 namespace histwalk::obs {
 
-namespace internal {
-// Stable small stripe index for the calling thread.
-size_t ThreadStripe(size_t stripes);
-}  // namespace internal
-
 // Monotone counter with per-thread-striped cells. Inc is wait-free; Value
 // sums the cells (each cell is atomically read, so Value never tears, and
 // concurrent Incs are either counted or not — same contract as the cache
@@ -56,7 +52,7 @@ size_t ThreadStripe(size_t stripes);
 class Counter {
  public:
   void Inc(uint64_t n = 1) {
-    cells_[internal::ThreadStripe(kStripes)].v.fetch_add(
+    cells_[util::ThreadStripe(kStripes)].v.fetch_add(
         n, std::memory_order_relaxed);
   }
   uint64_t Value() const {
@@ -92,7 +88,7 @@ class Gauge {
 class Histogram {
  public:
   void Observe(uint64_t value) {
-    Cell& cell = cells_[internal::ThreadStripe(kStripes)];
+    Cell& cell = cells_[util::ThreadStripe(kStripes)];
     std::lock_guard<util::RwSpinLock> lock(cell.mu);
     cell.h.Record(value);
   }

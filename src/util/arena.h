@@ -19,8 +19,15 @@
 // refcount, the element count, and the payload laid out contiguously. The
 // pinned-handle lifetime contract is unchanged — copying a BlockRef bumps
 // the refcount, so an evicted entry's payload stays valid for as long as
-// any walker still holds a handle — but a hot Get now touches a single
-// cache-resident block, and a miss pays one allocation instead of two.
+// any holder keeps a handle — and a miss pays one allocation instead of
+// two.
+//
+// The refcount is off the cache's hit path: a walker's hit borrows the
+// block through a hazard slot (access::HistoryCache::Borrow) and writes
+// no block line. Handles are copied where a reference must outlive the
+// cache's own: the cache's slot, a miss's landed entry, the pinned Get of
+// the late-hit probe, the history tier and exports, and the cache's
+// retired lists, which hold an evicted block until no hazard slot names it.
 //
 // The element type must be trivially copyable and trivially destructible
 // (graph::NodeId is), so blocks are filled with memcpy and freed without

@@ -2,11 +2,13 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "access/graph_access.h"
+#include "attr/grouping.h"
 #include "api/sampler.h"
 #include "estimate/ensemble_runner.h"
 #include "estimate/step_pool.h"
@@ -117,35 +119,54 @@ TEST(ApiEquivalenceTest, InlineMatchesManualUnderBoundedCache) {
   EXPECT_EQ(manual->charged_queries, facade.charged_queries);
 }
 
-// Retention decides only what is billed again, never where a walk goes: a
-// capacity-64 cache that evicts all through the run walks exactly the
-// traces of an unbounded one and can only bill more.
+// Retention decides only what is billed again, never where a walk goes:
+// for every walker type, a capacity-64 cache that evicts all through the
+// run, and a one-shard capacity-2 cache that evicts nearly every step,
+// walk exactly the traces of an unbounded one and can only bill more. The
+// second also pins NodeAccess::Neighbors' one-live-span contract that
+// SharedAccess's two hazard slots rely on: no walker reads a span after
+// its next Neighbors call.
 TEST(ApiEquivalenceTest, EvictionNeverMovesTheWalk) {
   graph::Graph graph = TestGraph();
-  auto run = [&](uint64_t capacity) {
-    return FacadeRun(SamplerBuilder()
-                         .OverGraph(&graph)
-                         .WithCache({.capacity = capacity, .num_shards = 4})
-                         .RunInline()
-                         .WithWalker({.type = core::WalkerType::kCnrw})
-                         .WithEnsemble(kWalkers, kSeed)
-                         .StopAfterSteps(kSteps));
+  const std::unique_ptr<attr::Grouping> grouping = attr::MakeMd5Grouping(3);
+  auto run = [&](core::WalkerType type, access::HistoryCacheOptions cache) {
+    return FacadeRun(
+        SamplerBuilder()
+            .OverGraph(&graph)
+            .WithCache(cache)
+            .RunInline()
+            .WithWalker({.type = type, .grouping = grouping.get()})
+            .WithEnsemble(kWalkers, kSeed)
+            .StopAfterSteps(kSteps));
   };
-  RunReport unbounded = run(0);
-  RunReport bounded = run(64);
-  EXPECT_EQ(unbounded.ensemble.cache_stats.evictions, 0u);
-  EXPECT_GT(bounded.ensemble.cache_stats.evictions, 0u);
-  ASSERT_EQ(bounded.ensemble.starts, unbounded.ensemble.starts);
-  ASSERT_EQ(bounded.ensemble.traces.size(), unbounded.ensemble.traces.size());
-  for (size_t i = 0; i < bounded.ensemble.traces.size(); ++i) {
-    EXPECT_EQ(bounded.ensemble.traces[i].nodes,
-              unbounded.ensemble.traces[i].nodes)
-        << "walker " << i;
-    EXPECT_EQ(bounded.ensemble.traces[i].degrees,
-              unbounded.ensemble.traces[i].degrees)
-        << "walker " << i;
+  for (core::WalkerType type :
+       {core::WalkerType::kSrw, core::WalkerType::kMhrw,
+        core::WalkerType::kNbSrw, core::WalkerType::kCnrw,
+        core::WalkerType::kCnrwNode, core::WalkerType::kNbCnrw,
+        core::WalkerType::kGnrw}) {
+    SCOPED_TRACE(core::WalkerTypeName(type));
+    RunReport unbounded = run(type, {.capacity = 0, .num_shards = 4});
+    EXPECT_EQ(unbounded.ensemble.cache_stats.evictions, 0u);
+    for (access::HistoryCacheOptions cache :
+         {access::HistoryCacheOptions{.capacity = 64, .num_shards = 4},
+          access::HistoryCacheOptions{.capacity = 2, .num_shards = 1}}) {
+      SCOPED_TRACE("capacity " + std::to_string(cache.capacity));
+      RunReport bounded = run(type, cache);
+      EXPECT_GT(bounded.ensemble.cache_stats.evictions, 0u);
+      ASSERT_EQ(bounded.ensemble.starts, unbounded.ensemble.starts);
+      ASSERT_EQ(bounded.ensemble.traces.size(),
+                unbounded.ensemble.traces.size());
+      for (size_t i = 0; i < bounded.ensemble.traces.size(); ++i) {
+        EXPECT_EQ(bounded.ensemble.traces[i].nodes,
+                  unbounded.ensemble.traces[i].nodes)
+            << "walker " << i;
+        EXPECT_EQ(bounded.ensemble.traces[i].degrees,
+                  unbounded.ensemble.traces[i].degrees)
+            << "walker " << i;
+      }
+      EXPECT_GE(bounded.charged_queries, unbounded.charged_queries);
+    }
   }
-  EXPECT_GE(bounded.charged_queries, unbounded.charged_queries);
 }
 
 // ---- pipelined mode ---------------------------------------------------

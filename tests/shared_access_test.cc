@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "access/graph_access.h"
 #include "access/shared_access.h"
 #include "graph/generators.h"
 #include "net/request_pipeline.h"
+#include "util/random.h"
 
 namespace histwalk::access {
 namespace {
@@ -220,6 +224,94 @@ TEST_F(SharedAccessTest, SpanSurvivesEvictionOfItsEntry) {
   // The first view's span still reads valid data (retained handle).
   EXPECT_EQ((*ns)[0], 1u);
   EXPECT_EQ((*ns)[1], 7u);
+}
+
+// Borrowed hits under eviction: four views read over a one-shard,
+// capacity-8 cache while a fifth thread's inserts evict all the time. After
+// each Neighbors call a view reads, in full, both its new span and the one
+// before it (the second hazard slot's margin); a freed or recycled block
+// fails on content, and under ASan on the read itself.
+TEST_F(SharedAccessTest, BorrowedSpansSurviveConcurrentEviction) {
+  util::Random graph_rng(5);
+  const graph::Graph graph =
+      graph::MakeWattsStrogatz(/*n=*/64, /*k=*/6, /*beta=*/0.3, graph_rng);
+  GraphAccess backend(&graph, nullptr);
+  SharedAccessGroup group(&backend,
+                          {.cache = {.capacity = 8, .num_shards = 1}});
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  constexpr int kViews = 4;
+  constexpr int kReads = 20000;
+  auto expect_list = [&](graph::NodeId v, std::span<const graph::NodeId> got) {
+    const std::span<const graph::NodeId> want = graph.Neighbors(v);
+    ASSERT_EQ(got.size(), want.size()) << "node " << v;
+    for (size_t j = 0; j < want.size(); ++j) {
+      ASSERT_EQ(got[j], want[j]) << "node " << v;
+    }
+  };
+  auto drive = [&](int view_index) {
+    auto view = group.MakeView(resolver);
+    util::Random rng(100 + static_cast<uint64_t>(view_index));
+    graph::NodeId prev = graph::kInvalidNode;
+    std::span<const graph::NodeId> prev_span;
+    for (int i = 0; i < kReads; ++i) {
+      const auto v =
+          static_cast<graph::NodeId>(rng.UniformInt(graph.num_nodes()));
+      auto span = view->Neighbors(v);
+      ASSERT_TRUE(span.ok()) << span.status();
+      expect_list(v, *span);
+      if (prev != graph::kInvalidNode) expect_list(prev, prev_span);
+      prev = v;
+      prev_span = *span;
+    }
+  };
+  std::atomic<int> views_done{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kViews; ++r) {
+    threads.emplace_back([&, r] {
+      drive(r);
+      views_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  threads.emplace_back([&] {
+    util::Random rng(7);
+    while (views_done.load(std::memory_order_acquire) < kViews) {
+      const auto v =
+          static_cast<graph::NodeId>(rng.UniformInt(graph.num_nodes()));
+      group.cache().Put(v, graph.Neighbors(v));
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  const HistoryCacheStats stats = group.cache().stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, uint64_t{kReads});
+  // Every view is gone, so no slot names a retired block any more.
+  EXPECT_EQ(group.cache().retired_count(), 0u);
+}
+
+// A block evicted while a view's hazard slot names it waits on the shard's
+// retired list, and is freed once that view is gone.
+TEST_F(SharedAccessTest, RetiredListsEmptyOnceViewsAreGone) {
+  SharedAccessGroup group(&backend_,
+                          {.cache = {.capacity = 1, .num_shards = 1}});
+  net::RequestPipeline resolver(&group, {.depth = 0});
+  auto view = group.MakeView(resolver);
+  auto other = group.MakeView(resolver);
+  ASSERT_TRUE(view->Neighbors(0).ok());  // miss: fetched and pinned
+  auto ns = view->Neighbors(0);          // hit: borrowed
+  ASSERT_TRUE(ns.ok());
+  EXPECT_EQ(view->stats().cache_hits, 1u);
+  EXPECT_TRUE(other->Neighbors(1).ok());  // evicts node 0's entry
+  EXPECT_FALSE(group.cache().Contains(0));
+  EXPECT_EQ(group.cache().retired_count(), 1u);
+  EXPECT_EQ((*ns)[0], 1u);
+  EXPECT_EQ((*ns)[1], 7u);
+  view.reset();
+  EXPECT_EQ(group.cache().retired_count(), 0u);
+  // With one view left, further evictions retire and reclaim as usual.
+  EXPECT_TRUE(other->Neighbors(2).ok());
+  EXPECT_TRUE(other->Neighbors(3).ok());
+  other.reset();
+  EXPECT_EQ(group.cache().retired_count(), 0u);
 }
 
 TEST_F(SharedAccessTest, ViewResetLeavesGroupStateAlone) {
