@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "util/check.h"
 
@@ -15,6 +16,14 @@ namespace {
 // a batch and return while another stays queued behind the depth bound.
 constexpr auto kIdleRescan = std::chrono::milliseconds(5);
 
+// The stepper running on this thread, if any: its pool (null on every
+// other thread) and its run-next slot. Only this thread reads or writes it.
+struct StepperSlot {
+  const StepPool* pool = nullptr;
+  StepPool::Task* run_next = nullptr;
+};
+thread_local StepperSlot tls_stepper;
+
 }  // namespace
 
 void StepPool::Task::Resume() {
@@ -23,8 +32,18 @@ void StepPool::Task::Resume() {
   // is still unwinding the step: it sees kWoken at its commit and re-runs
   // the task itself.
   if (park_.exchange(kWoken, std::memory_order_acq_rel) == kParked) {
-    pool_->Push(this);
+    pool_->Wake(this);
   }
+}
+
+void StepPool::Wake(Task* task) {
+  StepperSlot& self = tls_stepper;
+  if (self.pool == this && self.run_next == nullptr) {
+    // This stepper runs it next, once its current task or batch returns.
+    self.run_next = task;
+    return;
+  }
+  Push(task);
 }
 
 StepPool::StepPool(unsigned num_threads) {
@@ -73,18 +92,20 @@ void StepPool::Push(Task* task) {
 }
 
 void StepPool::RunTask(Task* task) {
-  while (true) {
+  while (task != nullptr) {
     task->park_.store(Task::kRunning, std::memory_order_relaxed);
     if (task->Run()) {
       ActiveRun* run = task->run_;
       std::lock_guard<std::mutex> lock(mu_);
       if (--run->remaining == 0 && run->draining == 0) done_cv_.notify_all();
-      return;
-    }
-    uint32_t expected = Task::kRunning;
-    if (task->park_.compare_exchange_strong(expected, Task::kParked,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
+    } else {
+      uint32_t expected = Task::kRunning;
+      if (!task->park_.compare_exchange_strong(expected, Task::kParked,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
+        // The fetch landed before the park committed: re-run the step now.
+        continue;
+      }
       // Committed. The parked step may have queued a batch: wake a
       // sleeping stepper to carry it.
       parks_.fetch_add(1);
@@ -92,9 +113,9 @@ void StepPool::RunTask(Task* task) {
         { std::lock_guard<std::mutex> lock(mu_); }
         work_cv_.notify_one();
       }
-      return;
     }
-    // The fetch landed before the park committed: re-run the step now.
+    // Whatever this task's run woke onto this stepper goes next.
+    task = std::exchange(tls_stepper.run_next, nullptr);
   }
 }
 
@@ -107,6 +128,9 @@ bool StepPool::DrainOne(std::unique_lock<std::mutex>& lock) {
     ++run->draining;
     lock.unlock();
     const bool ran = run->resolver->RunQueuedBatch();
+    // The first walker the batch answered, if any, runs before mu_ is
+    // retaken. It is not done, so its own run stays active meanwhile.
+    RunTask(std::exchange(tls_stepper.run_next, nullptr));
     lock.lock();
     if (--run->draining == 0 && run->remaining == 0) done_cv_.notify_all();
     if (ran) return true;
@@ -115,6 +139,7 @@ bool StepPool::DrainOne(std::unique_lock<std::mutex>& lock) {
 }
 
 void StepPool::StepperLoop() {
+  tls_stepper.pool = this;
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     if (!ready_.empty()) {

@@ -33,6 +33,17 @@
 // once by the stepper that parked it instead of being requeued — a task
 // never runs on two steppers at once.
 //
+// Run-next: each stepper has a one-task slot, held in a thread-local. A
+// Resume that runs on a stepper of the task's own pool (the stepper is
+// carrying the batch that answered the task, or running a task that
+// resolved a fetch in place) puts the task in that stepper's slot, and the
+// stepper runs it as soon as its current task or batch returns — before it
+// takes mu_ again. The woken walker skips the ready queue, its mutex and a
+// wakeup of a sleeping stepper. Every other Resume uses Push: one from a
+// stepper of another pool, one from a thread outside the pool (a blocking
+// caller, a test), and one that finds the slot already full (a batch that
+// answers eight walkers keeps the first and pushes seven).
+//
 // Lifetime: Run() returns only once every task finished AND no stepper is
 // still inside its resolver's RunQueuedBatch, so a run may destroy its
 // per-run resolver right after. Several runs may share one pool
@@ -55,7 +66,9 @@ class StepPool {
     virtual bool Run() = 0;
 
    protected:
-    // Puts this parked task back on its pool's ready queue. Thread-safe;
+    // Hands this parked task back to its pool: into the calling stepper's
+    // run-next slot when the caller is a stepper of the task's own pool
+    // with an empty slot, else onto the ready queue. Thread-safe;
     // typically called on the thread that completed the fetch.
     void Resume();
 
@@ -94,8 +107,11 @@ class StepPool {
   };
 
   void StepperLoop();
-  // Runs `task` until it finishes or its park commits.
+  // Runs `task` until it finishes or its park commits, then every task
+  // that lands in this stepper's run-next slot meanwhile.
   void RunTask(Task* task);
+  // Resume's hand-off of a woken task (see "Run-next" above).
+  void Wake(Task* task);
   void Push(Task* task);
   // Tries one queued batch of each active run's resolver in turn. Requires
   // mu_ (released around the batch); true when a batch ran.

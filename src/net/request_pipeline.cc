@@ -57,6 +57,20 @@ void TenantQueue::Enqueue(TenantId tenant, graph::NodeId v) {
   ++queued_total_;
 }
 
+void TenantQueue::IdRing::push_back(const QueuedId& id) {
+  if (size_ == slots_.size()) {
+    // Full: unroll into a ring twice the size, oldest id first.
+    std::vector<QueuedId> grown(slots_.empty() ? 16 : slots_.size() * 2);
+    for (size_t i = 0; i < size_; ++i) {
+      grown[i] = slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + size_) & (slots_.size() - 1)] = id;
+  ++size_;
+}
+
 uint64_t TenantQueue::queued(TenantId tenant) const {
   HW_CHECK(tenant < tenants_.size());
   return tenants_[tenant].queued;
@@ -107,7 +121,7 @@ bool TenantQueue::PickFifo(uint32_t max_batch, Batch* out) {
     const Tenant& tenant = tenants_[ti];
     if (tenant.queued == 0) continue;
     for (uint32_t shard = 0; shard < num_shards_; ++shard) {
-      const std::deque<QueuedId>& queue = tenant.shard_queues[shard];
+      const IdRing& queue = tenant.shard_queues[shard];
       if (queue.empty()) continue;
       if (queue.front().arrival < best_arrival) {
         best_arrival = queue.front().arrival;
@@ -123,11 +137,9 @@ bool TenantQueue::PickFifo(uint32_t max_batch, Batch* out) {
 void TenantQueue::DrainShard(TenantId t, uint32_t shard, uint32_t max_batch,
                              Batch* out) {
   Tenant& tenant = tenants_[t];
-  std::deque<QueuedId>& queue = tenant.shard_queues[shard];
+  IdRing& queue = tenant.shard_queues[shard];
   const size_t take = std::min<size_t>(max_batch, queue.size());
   out->tenant = t;
-  out->ids.reserve(take);
-  out->waits.reserve(take);
   for (size_t i = 0; i < take; ++i) {
     const QueuedId& id = queue.front();
     out->ids.push_back(id.v);
@@ -137,6 +149,76 @@ void TenantQueue::DrainShard(TenantId t, uint32_t shard, uint32_t max_batch,
   tenant.queued -= take;
   queued_total_ -= take;
   drained_items_ += take;
+}
+
+// ---- RequestPipeline::PendingTable ------------------------------------------
+
+RequestPipeline::Pending* RequestPipeline::PendingTable::Find(uint64_t key) {
+  if (cells_.empty()) return nullptr;
+  const size_t mask = cells_.size() - 1;
+  for (size_t i = Home(key, mask);; i = (i + 1) & mask) {
+    Cell& cell = cells_[i];
+    if (cell.pending.creator.waiter == nullptr) return nullptr;
+    if (cell.key == key) return &cell.pending;
+  }
+}
+
+size_t RequestPipeline::PendingTable::FreeCell(uint64_t key) const {
+  const size_t mask = cells_.size() - 1;
+  size_t i = Home(key, mask);
+  while (cells_[i].pending.creator.waiter != nullptr) i = (i + 1) & mask;
+  return i;
+}
+
+void RequestPipeline::PendingTable::Insert(uint64_t key, const Parked& creator) {
+  HW_DCHECK(creator.waiter != nullptr);
+  // Load at most 1/2: probe chains stay short, and every chain ends on an
+  // empty cell.
+  if ((size_ + 1) * 2 > cells_.size()) Grow();
+  Cell& cell = cells_[FreeCell(key)];
+  cell.key = key;
+  cell.pending.creator = creator;
+  ++size_;
+}
+
+bool RequestPipeline::PendingTable::Take(uint64_t key, Pending* out) {
+  if (cells_.empty()) return false;
+  const size_t mask = cells_.size() - 1;
+  size_t i = Home(key, mask);
+  while (true) {
+    if (cells_[i].pending.creator.waiter == nullptr) return false;
+    if (cells_[i].key == key) break;
+    i = (i + 1) & mask;
+  }
+  *out = std::move(cells_[i].pending);
+  // Backward-shift deletion (as in HistoryCache::FlatIndex::Erase): pull
+  // back every later cell of the chain whose home does not lie in the
+  // cyclic interval (i, j], which the hole would cut off from its home.
+  size_t j = i;
+  while (true) {
+    j = (j + 1) & mask;
+    if (cells_[j].pending.creator.waiter == nullptr) break;
+    const size_t h = Home(cells_[j].key, mask);
+    const bool movable = (j > i) ? (h <= i || h > j) : (h <= i && h > j);
+    if (movable) {
+      cells_[i] = std::move(cells_[j]);
+      i = j;
+    }
+  }
+  cells_[i].pending.creator.waiter = nullptr;
+  cells_[i].pending.joiners.clear();
+  --size_;
+  return true;
+}
+
+void RequestPipeline::PendingTable::Grow() {
+  std::vector<Cell> old = std::move(cells_);
+  cells_ = std::vector<Cell>(old.empty() ? kInitialCells : old.size() * 2);
+  for (Cell& cell : old) {
+    if (cell.pending.creator.waiter != nullptr) {
+      cells_[FreeCell(cell.key)] = std::move(cell);
+    }
+  }
 }
 
 // ---- RequestPipeline --------------------------------------------------------
@@ -172,7 +254,7 @@ RequestPipeline::RequestPipeline(access::SharedAccessGroup* group,
 }
 
 RequestPipeline::~RequestPipeline() {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::unique_lock<util::RwSpinLock> lock(mu_);
   stopping_ = true;
   // Carry what is still queued ourselves, then wait out every thread still
   // inside a batch (its deliveries may have finished the last walker of a
@@ -197,7 +279,7 @@ RequestPipeline::~RequestPipeline() {
 TenantId RequestPipeline::AddTenant(access::SharedAccessGroup* group,
                                     uint32_t weight) {
   HW_CHECK(group != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<util::RwSpinLock> lock(mu_);
   if (queue_ == nullptr) {
     // Batching locality follows the first tenant's shard geometry; in a
     // service every tenant shares one cache, so they all agree.
@@ -224,7 +306,7 @@ TenantId RequestPipeline::AddTenant(access::SharedAccessGroup* group,
 }
 
 void RequestPipeline::RemoveTenant(TenantId tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<util::RwSpinLock> lock(mu_);
   HW_CHECK(tenant < tenants_.size());
   HW_CHECK(tenants_[tenant]->group != nullptr);  // double remove
   // Quiescence: no waiter of this tenant is parked on any flight — a
@@ -242,7 +324,7 @@ void RequestPipeline::RemoveTenant(TenantId tenant) {
 }
 
 access::AsyncFetcher* RequestPipeline::tenant_fetcher(TenantId tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<util::RwSpinLock> lock(mu_);
   HW_CHECK(tenant < tenants_.size());
   return &tenants_[tenant]->fetcher;
 }
@@ -260,24 +342,24 @@ RequestPipeline::FetchOrPark(graph::NodeId v, access::FetchWaiter* waiter) {
 util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedFor(
     TenantId tenant, graph::NodeId v) {
   // The blocking caller parks like any walker; its reply is handed over
-  // under mu_, the mutex it waits on.
+  // under mu_, the lock it waits with.
   struct BlockingWaiter final : access::FetchWaiter {
     RequestPipeline* pipeline = nullptr;
     std::optional<util::Result<access::AsyncFetcher::Fetched>> fetched;
     void OnFetched(util::Result<access::AsyncFetcher::Fetched> reply) override {
-      std::lock_guard<std::mutex> lock(pipeline->mu_);
+      std::lock_guard<util::RwSpinLock> lock(pipeline->mu_);
       fetched.emplace(std::move(reply));
       pipeline->progress_cv_.notify_all();
     }
   } waiter;
   waiter.pipeline = this;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<util::RwSpinLock> lock(mu_);
     ++blocked_callers_;
   }
   std::optional<util::Result<access::AsyncFetcher::Fetched>> result =
       FetchOrParkFor(tenant, v, &waiter);
-  std::unique_lock<std::mutex> lock(mu_);
+  std::unique_lock<util::RwSpinLock> lock(mu_);
   // Nobody else may be draining the queue: carry batches while waiting.
   while (!result.has_value()) {
     if (waiter.fetched.has_value()) {
@@ -303,7 +385,7 @@ RequestPipeline::FetchOrParkFor(TenantId tenant, graph::NodeId v,
   access::SharedAccessGroup* resolve_here = nullptr;
   {
     HW_PROF_SCOPE("pipeline/enqueue");
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<util::RwSpinLock> lock(mu_);
     HW_CHECK(tenant < tenants_.size());
     if (stopping_) {
       // Destruction in progress: nobody will serve a fresh submit (this
@@ -314,24 +396,27 @@ RequestPipeline::FetchOrParkFor(TenantId tenant, graph::NodeId v,
     Tenant& t = *tenants_[tenant];
     HW_CHECK(t.group != nullptr);
     const uint64_t key = PendingKey(tenant, v);
-    auto it = pending_.find(key);
-    if (it != pending_.end()) {
+    if (Pending* flight = pending_.Find(key)) {
       // Singleflight: join the request already in flight (possibly
       // another tenant's — the shared cache serves every waiter).
       ++t.stats.dedup_joins;
       HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_, "singleflight_join",
                             "\"node\":" + std::to_string(v) +
                                 ",\"tenant\":" + std::to_string(tenant));
-      it->second.joiners.push_back({waiter, tenant});
+      // The flight's first joiner allocates its list (rare: most flights
+      // have none).
+      flight->joiners.push_back({waiter, tenant});
       ++t.active_calls;
       return std::nullopt;
     }
     // Did a fetch complete between the caller's cache miss and this
-    // submit? Probe with Contains() first because it has no stats side
-    // effects: the caller already recorded this lookup's miss, and a plain
-    // Get() here would double-count a miss on every ordinary submit. Get()
-    // runs only on the rare hit path (and can still race an eviction, in
-    // which case we fall through and fetch for real).
+    // submit? This probe must stay under mu_ (see "Locking" in the
+    // header): it is what bills a node exactly once. Probe with Contains()
+    // first because it has no stats side effects: the caller already
+    // recorded this lookup's miss, and a plain Get() here would
+    // double-count a miss on every ordinary submit. Get() runs only on the
+    // rare hit path (and can still race an eviction, in which case we fall
+    // through and fetch for real).
     if (t.group->cache().Contains(v)) {
       if (access::HistoryCache::Entry entry = t.group->cache().Get(v)) {
         ++t.stats.late_hits;
@@ -353,11 +438,11 @@ RequestPipeline::FetchOrParkFor(TenantId tenant, graph::NodeId v,
       // caller, below and outside the lock.
       t.stats.wait.Record(0);
       t.group->obs().pipeline_wait->Observe(0);
-      pending_.emplace(key, Pending{{&own, tenant}, {}});
+      pending_.Insert(key, {&own, tenant});
       ++in_flight_;
       resolve_here = t.group;
     } else {
-      pending_.emplace(key, Pending{{waiter, tenant}, {}});
+      pending_.Insert(key, {waiter, tenant});
       queue_->Enqueue(tenant, v);
       t.stats.max_queue_depth =
           std::max(t.stats.max_queue_depth, queue_->queued(tenant));
@@ -378,9 +463,12 @@ RequestPipeline::FetchOrParkFor(TenantId tenant, graph::NodeId v,
 
 bool RequestPipeline::RunQueuedBatch() {
   TenantQueue::Batch batch;
+  // Sized before the lock, so the pick under it allocates nothing.
+  batch.ids.reserve(options_.max_batch);
+  batch.waits.reserve(options_.max_batch);
   access::SharedAccessGroup* group = nullptr;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<util::RwSpinLock> lock(mu_);
     if (!BatchRunnableLocked()) return false;
     HW_CHECK(queue_->PickBatch(options_.max_batch, &batch));
     Tenant& tenant = *tenants_[batch.tenant];
@@ -461,11 +549,12 @@ void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
 
   // Detach the pending entries under the lock, deliver outside it (a
   // waiter's OnFetched may requeue a walker or resubmit a fetch; never
-  // hold mu_ across that).
+  // hold mu_ across that). to_deliver is reserved out here: the detach
+  // only moves flights into it.
   std::vector<std::pair<Pending, size_t>> to_deliver;  // + index in replies
   to_deliver.reserve(replies.size());
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<util::RwSpinLock> lock(mu_);
     Tenant& tenant = *tenants_[batch.tenant];
     if (!to_fetch.empty()) {
       ++tenant.stats.wire_requests;
@@ -473,14 +562,16 @@ void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
     }
     tenant.stats.budget_refusals += refused.size();
     for (size_t i = 0; i < replies.size(); ++i) {
-      auto it = pending_.find(PendingKey(batch.tenant, replies[i].first));
-      if (it == pending_.end()) continue;
-      --tenants_[it->second.creator.tenant]->active_calls;
-      for (const Parked& joiner : it->second.joiners) {
+      Pending pending;
+      if (!pending_.Take(PendingKey(batch.tenant, replies[i].first),
+                         &pending)) {
+        continue;
+      }
+      --tenants_[pending.creator.tenant]->active_calls;
+      for (const Parked& joiner : pending.joiners) {
         --tenants_[joiner.tenant]->active_calls;
       }
-      to_deliver.emplace_back(std::move(it->second), i);
-      pending_.erase(it);
+      to_deliver.emplace_back(std::move(pending), i);
     }
   }
   if (options_.tracer != nullptr) {
@@ -508,7 +599,7 @@ void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
       }
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<util::RwSpinLock> lock(mu_);
   --in_flight_;
   // A batch slot freed: a blocking caller may run the next batch, and a
   // stopping destructor may be waiting for the last one. Notified under
@@ -538,7 +629,7 @@ void RequestPipeline::Deliver(const Parked& parked, bool creator,
 }
 
 RequestPipelineStats RequestPipeline::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<util::RwSpinLock> lock(mu_);
   RequestPipelineStats aggregate = retired_;
   for (const std::unique_ptr<Tenant>& tenant : tenants_) {
     AccumulateTenantStats(aggregate, tenant->stats);
@@ -550,7 +641,7 @@ RequestPipelineStats RequestPipeline::stats() const {
 }
 
 TenantPipelineStats RequestPipeline::tenant_stats(TenantId tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<util::RwSpinLock> lock(mu_);
   HW_CHECK(tenant < tenants_.size());
   TenantPipelineStats stats = tenants_[tenant]->stats;
   stats.queue_depth = queue_->queued(tenant);
@@ -558,7 +649,7 @@ TenantPipelineStats RequestPipeline::tenant_stats(TenantId tenant) const {
 }
 
 size_t RequestPipeline::num_tenants() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<util::RwSpinLock> lock(mu_);
   return tenants_.size();
 }
 

@@ -3,17 +3,15 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "access/async_fetcher.h"
 #include "access/shared_access.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
+#include "util/rw_spinlock.h"
 
 // Batched, deduplicated, tenant-fair fetch client for a (simulated or real)
 // remote backend — the one miss resolver of every execution mode: the
@@ -67,6 +65,33 @@
 // AsyncFetcher adapter (tenant_fetcher()) as their resolver;
 // FetchSharedFor(t, v) routes a miss through tenant t's queue, budget and
 // stats.
+//
+// Locking: one util::RwSpinLock (its exclusive half) guards all state. It
+// is taken once per miss (the submit) and three times per batch (pick,
+// detach, end), by every stepper of every tenant, so its waiters spin and
+// yield rather than sleep — and its critical sections must stay short:
+// no I/O, no wire call, no waiter callback, and no allocation in steady
+// state. What runs under it is table and queue
+// bookkeeping, counters and histogram records, and one probe of the
+// cache. Allocation is confined to growth: the singleflight table and the
+// per-(tenant, shard) queues double when full and never shrink, and a
+// flight's first joiner allocates its joiner list; opt-in tracing also
+// formats its event strings there, and AddTenant allocates a new slot
+// (once per session, off the miss path). Batches are reserved, replies
+// built and waiters woken outside the lock.
+//
+// The late-hit probe (Contains, then Get) stays under the lock on purpose:
+// a flight's entry leaves the singleflight table only after its reply is
+// in the cache, so a submit that finds neither a flight nor a cached entry
+// under the same lock knows no fetch of that node has landed — it creates
+// the one flight that is billed. Probing outside the lock would let a
+// fetch land in between and bill the node twice.
+//
+// Singleflight table: open addressing keyed by PendingKey, linear probing,
+// backward-shift erase, doubling at load 1/2 — the layout of
+// HistoryCache::FlatIndex. A flight's waiters move in at submit and out at
+// detach, so creating and finishing a flight allocate nothing once the
+// table has reached the workload's peak in-flight count.
 
 namespace histwalk::net {
 
@@ -147,8 +172,9 @@ struct RequestPipelineStats {
 // The scheduler state machine, factored out of the pipeline so fairness
 // properties are unit-testable without threads: Enqueue/PickBatch calls are
 // plain single-threaded transitions (the pipeline serializes them under its
-// own mutex). Ids live in per-tenant, per-shard deques; PickBatch drains up
-// to max_batch ids of one (tenant, shard) pair per call.
+// own lock). Ids live in per-tenant, per-shard ring queues that keep their
+// capacity, so a steady stream of ids allocates nothing; PickBatch drains
+// up to max_batch ids of one (tenant, shard) pair per call.
 //
 //  * kFairWeighted: deficit-style weighted round-robin. Each tenant holds
 //    `weight` credits; a pick costs one credit, and when every tenant with
@@ -181,6 +207,8 @@ class TenantQueue {
     std::vector<uint64_t> waits;
   };
   // Drains the next batch per the policy; false when nothing is queued.
+  // Fills `out` with push_back: reserve max_batch in both vectors first to
+  // keep the pick allocation-free (the pipeline does, before its lock).
   bool PickBatch(uint32_t max_batch, Batch* out);
 
   uint64_t queued() const { return queued_total_; }
@@ -192,10 +220,29 @@ class TenantQueue {
     uint64_t drained_at_enqueue;  // drain clock when this id arrived
     uint64_t arrival;             // global arrival sequence (kFifo order)
   };
+  // A FIFO of queued ids over a power-of-two ring that doubles when full
+  // and never shrinks (a std::deque would free and reallocate a chunk
+  // every few dozen ids streaming through).
+  class IdRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    const QueuedId& front() const { return slots_[head_]; }
+    void push_back(const QueuedId& id);
+    void pop_front() {
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+    }
+
+   private:
+    std::vector<QueuedId> slots_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
   struct Tenant {
     uint32_t weight = 1;
     uint32_t credits = 1;
-    std::vector<std::deque<QueuedId>> shard_queues;
+    std::vector<IdRing> shard_queues;
     uint32_t next_shard = 0;
     uint64_t queued = 0;
   };
@@ -275,7 +322,7 @@ class RequestPipeline final : public access::AsyncFetcher {
 
   // Stats consistency (same contract style as HistoryCache::stats()): each
   // call returns an internally consistent snapshot taken under the
-  // pipeline mutex — submitted == dedup-creators exactly, wire_items never
+  // pipeline lock — submitted == dedup-creators exactly, wire_items never
   // exceeds submitted, and cumulative counters are monotone non-decreasing
   // across successive calls from one thread. queue_depth is instantaneous
   // and may be stale by the time the caller reads it; max_queue_depth is
@@ -304,6 +351,37 @@ class RequestPipeline final : public access::AsyncFetcher {
   struct Pending {
     Parked creator;               // created the flight (and pays for it)
     std::vector<Parked> joiners;  // joined it (singleflight)
+  };
+  // The singleflight table (see the header comment): PendingKey -> flight.
+  // A cell is empty iff its creator's waiter is null.
+  class PendingTable {
+   public:
+    // The flight under `key`, or nullptr.
+    Pending* Find(uint64_t key);
+    // Opens a flight under `key`, which must be absent; `creator.waiter`
+    // is non-null. Grows the table past load 1/2.
+    void Insert(uint64_t key, const Parked& creator);
+    // Moves the flight under `key` into *out and frees its cell; false if
+    // there is none.
+    bool Take(uint64_t key, Pending* out);
+    bool empty() const { return size_ == 0; }
+
+   private:
+    struct Cell {
+      uint64_t key = 0;
+      Pending pending;
+    };
+    static constexpr size_t kInitialCells = 64;
+
+    static size_t Home(uint64_t key, size_t mask) {
+      return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+    }
+    // The first empty cell on `key`'s probe chain.
+    size_t FreeCell(uint64_t key) const;
+    void Grow();
+
+    std::vector<Cell> cells_;  // power-of-two size, or empty
+    size_t size_ = 0;
   };
   struct TenantFetcherAdapter final : access::AsyncFetcher {
     RequestPipeline* pipeline = nullptr;
@@ -354,11 +432,13 @@ class RequestPipeline final : public access::AsyncFetcher {
   uint32_t num_shards_ = 0;  // fixed by the first registered tenant's cache
   uint32_t trace_track_ = 0;  // "pipeline" track when options_.tracer set
 
-  mutable std::mutex mu_;
+  // Exclusive only (see "Locking" above); never held across a wire call
+  // or a waiter callback.
+  mutable util::RwSpinLock mu_;
   // Signaled when a blocking caller may make progress (its reply landed,
   // or a batch became runnable) and, while stopping, when a batch or call
-  // ends.
-  std::condition_variable progress_cv_;
+  // ends. Only blocking callers and the destructor wait on it.
+  std::condition_variable_any progress_cv_;
   bool stopping_ = false;
   uint32_t in_flight_ = 0;          // batches between pick and delivery
   uint64_t blocked_callers_ = 0;    // FetchSharedFor calls inside the pipeline
@@ -368,7 +448,7 @@ class RequestPipeline final : public access::AsyncFetcher {
   std::unique_ptr<TenantQueue> queue_;  // created with the first tenant
   uint64_t global_max_queue_depth_ = 0;
   WaitHistogram queue_depth_hist_;  // global depth at each enqueue
-  std::unordered_map<uint64_t, Pending> pending_;
+  PendingTable pending_;
 };
 
 }  // namespace histwalk::net

@@ -6,7 +6,9 @@
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "access/graph_access.h"
@@ -625,6 +627,85 @@ TEST_F(RequestPipelineTest, ParkedJoinRefusedByAnotherTenantsBudgetResubmits) {
   // Both tenants are quiescent again.
   pipeline.RemoveTenant(a);
   pipeline.RemoveTenant(b);
+}
+
+TEST_F(RequestPipelineTest, SingleflightTableSurvivesGrowthAndCollisions) {
+  // Thousands of flights open at once: the singleflight table doubles many
+  // times past its first cells with flights (and joiners) inside. The
+  // nodes are random, not consecutive — multiplicative hashing spreads a
+  // run of consecutive ids with no collision at all — so probe chains
+  // form, and each batch's detach runs backward-shift erases through them.
+  constexpr graph::NodeId kGraphNodes = 1 << 18;
+  constexpr size_t kFlights = 6000;
+  const graph::Graph graph = graph::MakeCycle(kGraphNodes);
+  access::GraphAccess backend(&graph, nullptr);
+  HistoryCache shared_cache({.num_shards = 4});
+  access::SharedAccessGroup group_a(&backend, shared_cache);
+  access::SharedAccessGroup group_b(&backend, shared_cache);
+  std::vector<graph::NodeId> nodes;
+  {
+    std::mt19937 rng(7);
+    std::unordered_set<graph::NodeId> seen;
+    while (nodes.size() < kFlights) {
+      const graph::NodeId v = rng() % kGraphNodes;
+      if (seen.insert(v).second) nodes.push_back(v);
+    }
+  }
+  std::vector<RecordingWaiter> creators(kFlights);
+  std::vector<RecordingWaiter> joiners(kFlights / 4);
+  {
+    RequestPipeline pipeline({.depth = 1, .max_batch = 8});
+    const TenantId a = pipeline.AddTenant(&group_a);
+    const TenantId b = pipeline.AddTenant(&group_b);
+    for (size_t i = 0; i < kFlights; ++i) {
+      ASSERT_FALSE(
+          pipeline.FetchOrParkFor(a, nodes[i], &creators[i]).has_value());
+    }
+    // The second tenant joins every fourth flight.
+    for (size_t i = 0; i < joiners.size(); ++i) {
+      ASSERT_FALSE(
+          pipeline.FetchOrParkFor(b, nodes[4 * i], &joiners[i]).has_value());
+    }
+    EXPECT_EQ(pipeline.stats().queue_depth, kFlights);
+
+    while (pipeline.RunQueuedBatch()) {
+    }
+    for (size_t i = 0; i < kFlights; ++i) {
+      ASSERT_EQ(creators[i].calls.load(), 1) << i;
+      ASSERT_TRUE(creators[i].fetched->ok()) << i;
+      const auto& fetched = **creators[i].fetched;
+      EXPECT_TRUE(fetched.charged_this_call);
+      // Its own node's list: the two cycle neighbors.
+      const graph::NodeId v = nodes[i];
+      const std::vector<graph::NodeId> expected = {
+          (v + kGraphNodes - 1) % kGraphNodes, (v + 1) % kGraphNodes};
+      ASSERT_EQ(fetched.entry->size(), 2u) << i;
+      EXPECT_TRUE(std::is_permutation(fetched.entry->begin(),
+                                      fetched.entry->begin() + 2,
+                                      expected.begin()))
+          << i;
+    }
+    for (size_t i = 0; i < joiners.size(); ++i) {
+      ASSERT_EQ(joiners[i].calls.load(), 1) << i;
+      ASSERT_TRUE(joiners[i].fetched->ok()) << i;
+      EXPECT_FALSE((*joiners[i].fetched)->charged_this_call);
+      EXPECT_EQ((*joiners[i].fetched)->entry,
+                (*creators[4 * i].fetched)->entry);
+    }
+
+    const RequestPipelineStats stats = pipeline.stats();
+    EXPECT_EQ(stats.submitted, kFlights);
+    EXPECT_EQ(stats.wire_items, stats.submitted);
+    EXPECT_EQ(stats.dedup_joins, joiners.size());
+    EXPECT_EQ(pipeline.tenant_stats(b).dedup_joins, joiners.size());
+    EXPECT_EQ(pipeline.tenant_stats(b).submitted, 0u);
+    EXPECT_EQ(stats.queue_depth, 0u);
+    EXPECT_EQ(group_a.charged_queries(), kFlights);
+    EXPECT_EQ(group_b.charged_queries(), 0u);
+    // Both tenants are quiescent: every waiter's flight left the table.
+    pipeline.RemoveTenant(a);
+    pipeline.RemoveTenant(b);
+  }  // the destructor checks the table is empty
 }
 
 TEST_F(RequestPipelineTest, AtMostDepthBatchesRunAtOnce) {

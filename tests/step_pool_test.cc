@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -36,15 +37,21 @@ class FakeResolver final : public AsyncFetcher {
     return std::nullopt;
   }
   bool RunQueuedBatch() override {
-    access::FetchWaiter* waiter = nullptr;
+    std::deque<access::FetchWaiter*> batch;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (queue_.empty()) return false;
-      waiter = queue_.front();
-      queue_.pop_front();
+      if (deliver_all_) {
+        batch.swap(queue_);
+      } else {
+        batch.push_back(queue_.front());
+        queue_.pop_front();
+      }
     }
     batches_.fetch_add(1);
-    waiter->OnFetched(util::Status::Internal("fake reply"));
+    for (access::FetchWaiter* waiter : batch) {
+      waiter->OnFetched(util::Status::Internal("fake reply"));
+    }
     if (linger_after_delivery_) {
       // The woken task may finish the whole run while this thread is
       // still "inside the batch".
@@ -57,6 +64,12 @@ class FakeResolver final : public AsyncFetcher {
   void set_linger_after_delivery(bool linger) {
     linger_after_delivery_ = linger;
   }
+  // Each batch answers every queued waiter, not only the oldest.
+  void set_deliver_all(bool all) { deliver_all_ = all; }
+  size_t queued() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return queue_.size();
+  }
   uint64_t batches() const { return batches_.load(); }
   uint64_t lingered() const { return lingered_.load(); }
 
@@ -66,6 +79,7 @@ class FakeResolver final : public AsyncFetcher {
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> lingered_{0};
   bool linger_after_delivery_ = false;
+  bool deliver_all_ = false;
 };
 
 // Takes `steps` steps; each step parks once on `resolver` (when set) and
@@ -265,6 +279,108 @@ TEST(StepPoolTest, ConcurrentRunsShareOnePool) {
       EXPECT_FALSE(task->overlapped());
     }
   }
+}
+
+// Parks once on `resolver`, then finishes; records the threads it ran on.
+class ThreadRecordingTask final : public StepPool::Task {
+ public:
+  explicit ThreadRecordingTask(AsyncFetcher* resolver) : resolver_(resolver) {}
+
+  bool Run() override {
+    const std::thread::id self = std::this_thread::get_id();
+    if (runs_.load() == 0) first_thread_ = self;
+    last_thread_.store(self);
+    runs_.fetch_add(1);
+    return landed_ || resolver_->FetchOrPark(0, this).has_value();
+  }
+  void OnFetched(util::Result<AsyncFetcher::Fetched>) override {
+    landed_ = true;
+    Resume();
+  }
+
+  uint32_t runs() const { return runs_.load(); }
+  std::thread::id last_thread() const { return last_thread_.load(); }
+  // Read once the task's Run() call returned.
+  std::thread::id first_thread() const { return first_thread_; }
+
+ private:
+  AsyncFetcher* resolver_;
+  bool landed_ = false;
+  std::thread::id first_thread_;
+  std::atomic<std::thread::id> last_thread_{};
+  std::atomic<uint32_t> runs_{0};
+};
+
+// Runs `work` once, on whichever stepper picks it up.
+class CallbackTask final : public StepPool::Task {
+ public:
+  explicit CallbackTask(std::function<void()> work) : work_(std::move(work)) {}
+  bool Run() override {
+    thread_ = std::this_thread::get_id();
+    work_();
+    return true;
+  }
+  void OnFetched(util::Result<AsyncFetcher::Fetched>) override {}
+  std::thread::id thread() const { return thread_; }
+
+ private:
+  std::function<void()> work_;
+  std::thread::id thread_;
+};
+
+TEST(StepPoolTest, ResumeOnAnotherPoolsStepperRunsOnTheTasksOwnPool) {
+  // A stepper of pool B carries the batch that answers a task of pool A.
+  // The woken task must go back to A (B's run-next slot is for B's own
+  // tasks): it runs on A's one stepper, and A's Run returns.
+  FakeResolver resolver;
+  StepPool pool_a(1);
+  StepPool pool_b(1);
+  ThreadRecordingTask parked(&resolver);
+  StepPool::Task* const a_tasks[] = {&parked};
+  // No resolver for A's run: A's idle stepper must not carry the batch.
+  std::thread run_a([&] { pool_a.Run(a_tasks, nullptr); });
+  CallbackTask carrier([&] {
+    while (resolver.queued() == 0) std::this_thread::yield();
+    // Let A's stepper commit the park, so the batch's Resume is the one
+    // that hands the task back.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(resolver.RunQueuedBatch());
+  });
+  StepPool::Task* const b_tasks[] = {&carrier};
+  pool_b.Run(b_tasks, nullptr);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (parked.runs() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  // A task run on B's stepper would finish without A's Run noticing, and
+  // joining run_a would hang: fail first.
+  ASSERT_EQ(parked.runs(), 2u);
+  ASSERT_NE(parked.last_thread(), carrier.thread());
+  run_a.join();
+  EXPECT_EQ(parked.last_thread(), parked.first_thread());  // A's stepper
+}
+
+TEST(StepPoolTest, RunNextTaskThatParksAgainIsNeverStranded) {
+  // One stepper, many walkers, and every step parks: each batch answers
+  // every parked walker, so the first lands in the stepper's run-next
+  // slot and the rest on the ready queue. The run-next walker parks
+  // again at once; it must still be carried by a later batch, and Run
+  // must return with every walker done.
+  FakeResolver resolver;
+  resolver.set_deliver_all(true);
+  StepPool pool(1);
+  std::vector<std::unique_ptr<CountingTask>> tasks;
+  for (int i = 0; i < 12; ++i) {
+    tasks.push_back(std::make_unique<CountingTask>(50, &resolver));
+  }
+  pool.Run(Pointers(tasks), &resolver);
+  for (const auto& task : tasks) {
+    EXPECT_EQ(task->taken(), 50u);
+    EXPECT_EQ(task->runs(), 51u);  // one run per park, plus the first
+    EXPECT_FALSE(task->overlapped());
+  }
+  EXPECT_EQ(resolver.queued(), 0u);
 }
 
 }  // namespace
